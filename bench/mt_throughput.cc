@@ -642,8 +642,10 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
         eo.num_shards = 32;  // Over-provisioned so locksets rarely collide.
         eo.starvation_fix = true;
         // When serving live telemetry, publish into the global registry so
-        // the exporter has something to show. Mirroring costs ~1% (part 3),
-        // which is uniform across the sweep.
+        // the exporter has something to show. The engine counts into a
+        // registry either way (a private one when detached); attaching
+        // adds only phase attribution, priced in part 3 and uniform across
+        // the sweep.
         if (live_sampler != nullptr) eo.metrics = &GlobalMetrics();
         // The stop-the-world sweep is O(items): scale the period with the
         // item count so compaction stays amortized, with a floor so hot
@@ -725,10 +727,10 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
                          : std::vector<size_t>{1, 8, 32};
   const std::vector<int> enc_axis =
       enc_only ? std::vector<int>{1} : std::vector<int>{0, 1};
-  // Both arms run with a metrics registry attached: mirroring is one of the
-  // per-operation costs the batch pipeline amortizes (one flush per batch
-  // instead of per op), so benching without it would hide part of the win.
-  // Arms are interleaved and the medians compared, like part 3.
+  // Both arms run with a metrics registry attached: counter flushes and
+  // phase sampling are per-call costs the batch pipeline amortizes (once
+  // per batch instead of per op), so benching without them would hide part
+  // of the win. Arms are interleaved and the medians compared, like part 3.
   constexpr int kBatchReps = 3;
   constexpr double kBatchSecs = 0.4;
   double perop_goodput_low_off = 0, batch8_goodput_low_off = 0;
@@ -886,10 +888,13 @@ int Run(const char* out_path, int serve_port, uint64_t sample_ms,
   // -------------------------------------------------------------------
   // Part 3: observability overhead. Same engine cell as part 2 (k=3, low
   // contention, 32 shards), tracing runtime-disabled; the only difference
-  // between the two arms is EngineOptions::metrics (nullptr = mirroring
-  // off). Adjacent A/B pairs, order flipped per pair, median of per-pair
-  // deltas (see MeasureAbOverhead), so drift and interference bursts hit
-  // both arms alike.
+  // between the two arms is EngineOptions::metrics. A detached engine
+  // counts into a private registry, so the counters are in both arms and
+  // the delta prices phase attribution (the sampled clock reads and
+  // histogram records) and publishing into a shared, exportable registry.
+  // Adjacent A/B pairs, order flipped per pair, median of per-pair deltas
+  // (see MeasureAbOverhead), so drift and interference bursts hit both
+  // arms alike.
   // -------------------------------------------------------------------
   const size_t obs_threads = hw >= 4 ? 4 : 1;
   std::printf("--- observability overhead: k=3, %u items, %zu threads ---\n",

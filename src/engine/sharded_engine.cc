@@ -58,6 +58,21 @@ struct ShardLockSet {
   }
 };
 
+/// Registry names of the non-reject counts, in ShardedMtkEngine::Count
+/// order; the reject counters are "engine.rejected.<reason>".
+constexpr const char* kCountNames[] = {
+    "engine.accepted",           "engine.ignored_writes",
+    "engine.set_calls",          "engine.elements_assigned",
+    "engine.element_comparisons", "engine.txns_released",
+    "engine.single_shard_ops",   "engine.cross_shard_ops",
+    "engine.lock_retries",       "engine.full_lock_fallbacks",
+    "engine.lock_contention",    "engine.compactions",
+    "engine.batches",            "engine.batch_ops",
+    "engine.hot_encodings",      "engine.batch_fallbacks",
+    "engine.versions_installed", "engine.versions_gc",
+    "engine.old_version_reads",  "engine.read_rejects",
+};
+
 }  // namespace
 
 ShardedMtkEngine::ShardedMtkEngine(const EngineOptions& options)
@@ -75,29 +90,27 @@ ShardedMtkEngine::ShardedMtkEngine(const EngineOptions& options)
     shards_.emplace_back();
     shards_.back().index = static_cast<uint32_t>(s);
   }
-  if (MetricsRegistry* reg = options_.metrics) {
-    m_accepted_ = reg->GetCounter("engine.accepted");
-    m_ignored_ = reg->GetCounter("engine.ignored_writes");
-    for (size_t r = 1; r < kNumAbortReasons; ++r) {
-      m_rejected_[r] = reg->GetCounter(
-          std::string("engine.rejected.") +
-          AbortReasonName(static_cast<AbortReason>(r)));
-    }
-    m_contention_ = reg->GetCounter("engine.lock_contention");
-    m_retries_ = reg->GetCounter("engine.lock_retries");
-    m_fallbacks_ = reg->GetCounter("engine.full_lock_fallbacks");
-    m_compactions_ = reg->GetCounter("engine.compactions");
-    m_batches_ = reg->GetCounter("engine.batches");
-    m_batch_ops_ = reg->GetCounter("engine.batch_ops");
-    m_hot_encodings_ = reg->GetCounter("engine.hot_encodings");
-    m_batch_fallbacks_ = reg->GetCounter("engine.batch_fallbacks");
-    m_versions_installed_ = reg->GetCounter("engine.versions_installed");
-    m_versions_gc_ = reg->GetCounter("engine.versions_gc");
-    m_commits_ = reg->GetCounter("engine.commits");
-    m_consec_aborts_ = reg->GetGauge("engine.max_consecutive_aborts");
-    m_live_versions_ = reg->GetGauge("engine.live_versions");
+  static_assert(std::size(kCountNames) == kRejected);
+  if (options_.metrics == nullptr) {
+    own_metrics_ = std::make_unique<MetricsRegistry>();
+  }
+  MetricsRegistry& reg =
+      options_.metrics != nullptr ? *options_.metrics : *own_metrics_;
+  for (size_t c = 0; c < kNumCounts; ++c) {
+    counters_[c] = reg.GetCounter(
+        c < kRejected ? std::string(kCountNames[c])
+                      : std::string("engine.rejected.") +
+                            AbortReasonName(
+                                static_cast<AbortReason>(c - kRejected + 1)));
+    baseline_[c] = counters_[c]->Value();
+  }
+  m_commits_ = reg.GetCounter("engine.commits");
+  m_consec_aborts_ = reg.GetGauge("engine.max_consecutive_aborts");
+  m_live_versions_ = reg.GetGauge("engine.live_versions");
+  m_live_versions_->Set(0);
+  if (options_.metrics != nullptr) {
     for (size_t p = 0; p < kNumTxnPhases; ++p) {
-      m_phase_[p] = reg->GetHistogram(
+      m_phase_[p] = reg.GetHistogram(
           std::string("engine.phase.") +
           TxnPhaseName(static_cast<TxnPhase>(p)) + "_us");
     }
@@ -133,7 +146,7 @@ ShardedMtkEngine::TxnState* ShardedMtkEngine::PeekState(TxnId txn) const {
 
 ShardedMtkEngine::TxnState& ShardedMtkEngine::StateLocked(Shard& sh,
                                                           TxnId txn) {
-  assert(txn != kVirtualTxn && txn % num_shards_ == sh.index);
+  assert(txn != kVirtualTxn && ShardIndex(txn) == sh.index);
   const uint32_t slot = static_cast<uint32_t>(txn / num_shards_);
   assert(slot >= sh.base_slot.load(std::memory_order_relaxed) &&
          "access to a compacted (released) txn");
@@ -224,20 +237,20 @@ TsElement ShardedMtkEngine::NextLower(Shard& sh, TsElement below) {
   return val;
 }
 
-VectorCompareResult ShardedMtkEngine::CompareStates(Shard& shx,
+VectorCompareResult ShardedMtkEngine::CompareStates(Tally& t,
                                                     const TxnState& a,
                                                     const TxnState& b) {
   const VectorCompareResult r = Compare(a.ts, b.ts);
-  shx.stats.element_comparisons += r.index + 1;
+  t.n[kElementComparisons] += r.index + 1;
   return r;
 }
 
 bool ShardedMtkEngine::SetStates(Shard& shx, TxnState& sj, TxnState& si,
-                                 TxnId j, TxnId i, bool hot_item,
-                                 MirrorDelta& mir, AbortReason* why) {
+                                 TxnId j, TxnId i, bool hot_item, Tally& t,
+                                 AbortReason* why) {
   if (j == i) return true;  // Line 15.
-  ++shx.stats.set_calls;
-  const VectorCompareResult cr = CompareStates(shx, sj, si);
+  ++t.n[kSetCalls];
+  const VectorCompareResult cr = CompareStates(t, sj, si);
   // Last-column values come from shard shx's counter pair, globally unique
   // via the value * N + shard encoding; NextUpper/NextLower respect the
   // caller's bound, which the cross-shard counter classes need.
@@ -257,11 +270,8 @@ bool ShardedMtkEngine::SetStates(Shard& shx, TxnState& sj, TxnState& si,
       cr, active_k_.load(std::memory_order_relaxed), sj.ts, si.ts,
       j == kVirtualTxn, hot_item, options_.optimized_encoding,
       Counters{this, &shx});
-  shx.stats.elements_assigned += out.elements_assigned;
-  if (out.hot_path) {
-    ++shx.stats.hot_encodings;
-    ++mir.hot_encodings;
-  }
+  t.n[kElementsAssigned] += out.elements_assigned;
+  if (out.hot_path) ++t.n[kHotEncodings];
   if (!out.ok) {
     *why = out.why;
     return false;
@@ -273,22 +283,17 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
                                           ItemState& item, TxnState& si,
                                           const LiveRef& jr,
                                           const LiveRef& jw,
-                                          AbortReason* why,
-                                          MirrorDelta& mir) {
-  EngineStats& st = shx.stats;
+                                          AbortReason* why, Tally& t) {
   const TxnId i = op.txn;
 
   auto refuse = [&](AbortReason reason, TxnId blocker = kVirtualTxn) {
-    ++st.rejected;
-    st.reject_reasons.Add(reason);
-    ++mir.rejected[static_cast<size_t>(reason)];
+    t.Reject(reason);
     NoteRejectLocked(shx, reason, op, blocker);
     if (why != nullptr) *why = reason;
     return OpDecision::kReject;
   };
   auto accept = [&]() {
-    ++st.accepted;
-    ++mir.accepted;
+    ++t.n[kAccepted];
     return OpDecision::kAccept;
   };
 
@@ -307,7 +312,7 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
   // Lines 5-6: j is whichever of RT(x), WT(x) has the larger timestamp,
   // with RT(x) winning ties and undetermined comparisons.
   const LiveRef& j =
-      CompareStates(shx, *jr.state, *jw.state).order == VectorOrder::kLess
+      CompareStates(t, *jr.state, *jw.state).order == VectorOrder::kLess
           ? jw
           : jr;
 
@@ -334,7 +339,7 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
   };
 
   if (op.type == OpType::kRead) {
-    if (SetStates(shx, *j.state, si, j.txn, i, hot, mir, &cause)) {
+    if (SetStates(shx, *j.state, si, j.txn, i, hot, t, &cause)) {
       item.readers.push_back({i, inc_i});  // Line 7: RT(x) := i.
       item.top_reader = item.readers.back();
       return accept();
@@ -343,8 +348,8 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
     if (j.txn == jr.txn && !options_.disable_old_read_path) {
       const bool write_ordered =
           options_.relaxed_read_path
-              ? SetStates(shx, *jw.state, si, jw.txn, i, hot, mir, &cause)
-              : CompareStates(shx, *jw.state, si).order == VectorOrder::kLess;
+              ? SetStates(shx, *jw.state, si, jw.txn, i, hot, t, &cause)
+              : CompareStates(t, *jw.state, si).order == VectorOrder::kLess;
       if (write_ordered) {
         return accept();  // RT(x) is not updated.
       }
@@ -353,7 +358,7 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
   }
 
   // Write.
-  if (SetStates(shx, *j.state, si, j.txn, i, hot, mir, &cause)) {
+  if (SetStates(shx, *j.state, si, j.txn, i, hot, t, &cause)) {
     item.writers.push_back({i, inc_i});  // Line 12: WT(x) := i.
     item.top_writer = item.writers.back();
     // Writes are tracked for the WAL's commit record (CommitTxn swaps the
@@ -376,12 +381,11 @@ OpDecision ShardedMtkEngine::DecideLocked(const Op& op, Shard& shx,
     // Section III-D-6c: TS(RT(x)) < TS(i) < TS(WT(x)) makes the write
     // obsolete; skip it instead of aborting T_i.
     const bool after_reads =
-        CompareStates(shx, *jr.state, si).order == VectorOrder::kLess;
+        CompareStates(t, *jr.state, si).order == VectorOrder::kLess;
     const bool before_writer =
-        CompareStates(shx, si, *jw.state).order == VectorOrder::kLess;
+        CompareStates(t, si, *jw.state).order == VectorOrder::kLess;
     if (after_reads && before_writer) {
-      ++st.ignored_writes;
-      ++mir.ignored;
+      ++t.n[kIgnoredWrites];
       return OpDecision::kIgnore;
     }
   }
@@ -398,8 +402,7 @@ void ShardedMtkEngine::EnsureChainLocked(ItemState& item) {
   item.mv_newest = MvVersion{};
 }
 
-void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, ItemState& item,
-                                          MirrorDelta& mir) {
+void ShardedMtkEngine::MvUnlinkDeadLocked(ItemState& item, Tally& t) {
   if (!item.mv_init) return;
   // Dead (txn, incarnation) pairs are permanent - RestartTxn bumps the
   // incarnation in the store that clears the aborted bit - so unlinking on
@@ -414,15 +417,14 @@ void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, ItemState& item,
     v.readers.erase(std::remove_if(v.readers.begin(), v.readers.end(), dead),
                     v.readers.end());
   };
-  uint64_t gone = 0;
   for (size_t v = item.mv_older.size(); v-- > 0;) {
     if (dead(item.mv_older[v].writer)) {
       item.mv_older.erase(item.mv_older.begin() + static_cast<long>(v));
-      ++gone;
+      ++t.n[kVersionsGc];
     }
   }
   if (dead(item.mv_newest.writer)) {
-    ++gone;
+    ++t.n[kVersionsGc];
     if (!item.mv_older.empty()) {
       item.mv_newest = std::move(item.mv_older.back());
       item.mv_older.pop_back();
@@ -440,7 +442,7 @@ void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, ItemState& item,
     uint64_t cover = 0;
     auto add = [&](const Access& a) {
       if (a.txn != kVirtualTxn) {
-        cover |= uint64_t{1} << (a.txn % num_shards_);
+        cover |= uint64_t{1} << ShardIndex(a.txn);
       }
     };
     for (const MvVersion& v : item.mv_older) {
@@ -451,17 +453,10 @@ void ShardedMtkEngine::MvUnlinkDeadLocked(Shard& shx, ItemState& item,
     for (const Access& r : item.mv_newest.readers) add(r);
     item.mv_cover = cover;
   }
-  if (gone != 0) {
-    shx.stats.versions_gc += gone;
-    mir.versions_gc += gone;
-    live_versions_.fetch_add(-static_cast<int64_t>(gone),
-                             std::memory_order_relaxed);
-  }
 }
 
-void ShardedMtkEngine::MvPruneLocked(Shard& shx, ItemState& item,
-                                     uint64_t watermark, MirrorDelta& mir,
-                                     bool force) {
+void ShardedMtkEngine::MvPruneLocked(ItemState& item, uint64_t watermark,
+                                     Tally& t, bool force) {
   if (!item.mv_init || item.mv_older.empty() || watermark == 0) return;
   // Hysteresis gate (incremental GC only; sweeps pass force): in steady
   // state a chain hovers at the keep-tail length, where the scan below
@@ -534,39 +529,26 @@ void ShardedMtkEngine::MvPruneLocked(Shard& shx, ItemState& item,
          item.mv_older[cut].read_stamp < watermark) {
     ++cut;
   }
-  if (cut == 0) return;
-  uint64_t gone = 0;
   for (size_t v = 0; v < cut; ++v) {
-    if (item.mv_older[v].writer.txn != kVirtualTxn) ++gone;
+    if (item.mv_older[v].writer.txn != kVirtualTxn) ++t.n[kVersionsGc];
   }
   item.mv_older.erase(item.mv_older.begin(),
                       item.mv_older.begin() + static_cast<long>(cut));
-  if (gone != 0) {
-    shx.stats.versions_gc += gone;
-    mir.versions_gc += gone;
-    live_versions_.fetch_add(-static_cast<int64_t>(gone),
-                             std::memory_order_relaxed);
-  }
 }
 
 OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
                                             ItemState& item, TxnState& si,
-                                            AbortReason* why,
-                                            MirrorDelta& mir) {
-  EngineStats& st = shx.stats;
+                                            AbortReason* why, Tally& t) {
   const TxnId i = op.txn;
 
   auto refuse = [&](AbortReason reason, TxnId blocker = kVirtualTxn) {
-    ++st.rejected;
-    st.reject_reasons.Add(reason);
-    ++mir.rejected[static_cast<size_t>(reason)];
+    t.Reject(reason);
     NoteRejectLocked(shx, reason, op, blocker);
     if (why != nullptr) *why = reason;
     return OpDecision::kReject;
   };
   auto accept = [&]() {
-    ++st.accepted;
-    ++mir.accepted;
+    ++t.n[kAccepted];
     return OpDecision::kAccept;
   };
 
@@ -608,20 +590,20 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
         return accept();  // Reads its own pending write.
       }
       TxnState& sw = *PeekState(ver.writer.txn);
-      if (SetStates(shx, sw, si, ver.writer.txn, i, hot, mir, &cause)) {
+      if (SetStates(shx, sw, si, ver.writer.txn, i, hot, t, &cause)) {
         ver.readers.push_back({i, inc_i});
         if (num_shards_ <= 64) {
-          item.mv_cover |= uint64_t{1} << (i % num_shards_);
+          item.mv_cover |= uint64_t{1} << ShardIndex(i);
         }
         ver.read_stamp = mv_stamp_.fetch_add(1, std::memory_order_relaxed);
-        if (live_seen > 1) ++st.old_version_reads;
+        if (live_seen > 1) ++t.n[kOldVersionReads];
         return accept();
       }
     }
     // Only reachable in degenerate vector states (every writer including
     // T0 refused the encoding). No starvation seeding, matching the
     // scheduler: the blocker set is the whole chain, not one transaction.
-    ++st.read_rejects;
+    ++t.n[kReadRejects];
     StoreLife(si, wi | 1);
     mv_dead_epoch_.fetch_add(1, std::memory_order_release);
     if (options_.flight != nullptr) {
@@ -663,7 +645,7 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
       for (const Access& r : version_at(lj).readers) {
         if (r.txn == i) continue;
         TxnState& sr = *PeekState(r.txn);
-        if (CompareStates(shx, si, sr).order == VectorOrder::kLess) {
+        if (CompareStates(t, si, sr).order == VectorOrder::kLess) {
           blocked_by_reader = true;
           blocker = r;
         }
@@ -673,13 +655,13 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
     for (size_t lj = chain_len; lj-- > 0;) {
       const Access w = version_at(lj).writer;
       if (w.txn != i &&
-          CompareStates(shx, *PeekState(w.txn), si).order ==
+          CompareStates(t, *PeekState(w.txn), si).order ==
               VectorOrder::kGreater) {
         continue;  // Writer already after T_i: slot too new.
       }
       if (lj + 1 < chain_len) {
         const Access nx = version_at(lj + 1).writer;
-        if (CompareStates(shx, si, *PeekState(nx.txn)).order ==
+        if (CompareStates(t, si, *PeekState(nx.txn)).order ==
             VectorOrder::kGreater) {
           continue;  // T_i already after the next writer: inconsistent.
         }
@@ -723,14 +705,14 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
   {
     const Access pred = version_at(chosen).writer;
     if (pred.txn != i &&
-        !SetStates(shx, *PeekState(pred.txn), si, pred.txn, i, hot, mir,
+        !SetStates(shx, *PeekState(pred.txn), si, pred.txn, i, hot, t,
                    &cause)) {
       blocker = pred;
       ok = false;
     }
     if (ok && chosen + 1 < chain_len) {
       const Access nx = version_at(chosen + 1).writer;
-      if (!SetStates(shx, si, *PeekState(nx.txn), i, nx.txn, hot, mir,
+      if (!SetStates(shx, si, *PeekState(nx.txn), i, nx.txn, hot, t,
                      &cause)) {
         blocker = nx;
         ok = false;
@@ -739,7 +721,7 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
     for (size_t lj = 0; ok && lj <= chosen; ++lj) {
       for (const Access& r : version_at(lj).readers) {
         if (r.txn == i) continue;
-        if (!SetStates(shx, *PeekState(r.txn), si, r.txn, i, hot, mir,
+        if (!SetStates(shx, *PeekState(r.txn), si, r.txn, i, hot, t,
                        &cause)) {
           blocker = r;
           ok = false;
@@ -771,11 +753,9 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
                          std::move(nv));
   }
   if (num_shards_ <= 64) {
-    item.mv_cover |= uint64_t{1} << (i % num_shards_);
+    item.mv_cover |= uint64_t{1} << ShardIndex(i);
   }
-  ++st.versions_installed;
-  ++mir.versions_installed;
-  live_versions_.fetch_add(1, std::memory_order_relaxed);
+  ++t.n[kVersionsInstalled];
   // CommitTxn prunes the written chains (and the WAL logs the write set),
   // so multiversion mode always tracks writes.
   si.writes.push_back(op.item);
@@ -788,40 +768,15 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
   return accept();
 }
 
-void ShardedMtkEngine::MergePendingLocked(Shard& sh, const MirrorDelta& mir,
-                                          MirrorDelta* flush) {
-  if (m_accepted_ == nullptr) return;  // No registry attached.
-  sh.pending.MergeFrom(mir);
-  if (options_.mirror_flush_ops == 0 ||
-      sh.pending.events >= options_.mirror_flush_ops) {
-    flush->MergeFrom(sh.pending);
-    sh.pending = MirrorDelta{};
+void ShardedMtkEngine::Flush(const Tally& t) {
+  for (size_t c = 0; c < kNumCounts; ++c) {
+    if (t.n[c] != 0) counters_[c]->Add(t.n[c]);
   }
-}
-
-void ShardedMtkEngine::ApplyMirror(const MirrorDelta& d) {
-  if (m_accepted_ == nullptr || d.events == 0) return;
-  if (d.accepted != 0) m_accepted_->Add(d.accepted);
-  if (d.ignored != 0) m_ignored_->Add(d.ignored);
-  if (d.hot_encodings != 0) m_hot_encodings_->Add(d.hot_encodings);
-  for (size_t r = 1; r < kNumAbortReasons; ++r) {
-    if (d.rejected[r] != 0) m_rejected_[r]->Add(d.rejected[r]);
-  }
-  if (d.contention != 0) m_contention_->Add(d.contention);
-  if (d.retries != 0) m_retries_->Add(d.retries);
-  if (d.fallbacks != 0) m_fallbacks_->Add(d.fallbacks);
-  if (d.batch_fallbacks != 0) m_batch_fallbacks_->Add(d.batch_fallbacks);
-  if (d.batches != 0) m_batches_->Add(d.batches);
-  if (d.batch_ops != 0) m_batch_ops_->Add(d.batch_ops);
-  if (d.compactions != 0) m_compactions_->Add(d.compactions);
-  if (d.versions_installed != 0) {
-    m_versions_installed_->Add(d.versions_installed);
-  }
-  if (d.versions_gc != 0) m_versions_gc_->Add(d.versions_gc);
-  if (options_.multiversion) {
-    const int64_t lv = live_versions_.load(std::memory_order_relaxed);
-    m_live_versions_->Set(lv < 0 ? 0 : lv);
-  }
+  // May dip below zero for a moment when a collection flushes before its
+  // version's install does; stats() clamps.
+  const int64_t live = static_cast<int64_t>(t.n[kVersionsInstalled]) -
+                       static_cast<int64_t>(t.n[kVersionsGc]);
+  if (live != 0) m_live_versions_->Add(live);
 }
 
 void ShardedMtkEngine::RecordPhase(TxnPhase phase, uint64_t ns, TxnId tag) {
@@ -889,14 +844,7 @@ std::string ShardedMtkEngine::ExplainLastReject() const {
 void ShardedMtkEngine::LockShard(Shard& sh) {
   if (sh.mu.try_lock()) return;
   sh.mu.lock();
-  // We now hold sh.mu, so the per-shard counter needs no further sync; the
-  // registry mirror is buffered (EngineOptions::mirror_flush_ops) and
-  // flushed at the next batch boundary or stats() call.
-  ++sh.stats.lock_contention;
-  if (m_contention_ != nullptr) {
-    ++sh.pending.contention;
-    ++sh.pending.events;
-  }
+  counters_[kLockContention]->Add(1);
   MDTS_TRACE_INSTANT_ARG("engine.shard_lock_contention", "shard", sh.index);
 }
 
@@ -912,24 +860,9 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
                                       AbortReason* reasons) {
   MDTS_TRACE_SPAN("engine.batch");
   const size_t n = ops.size();
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batch_ops_.fetch_add(n, std::memory_order_relaxed);
-  if (n == 0) {
-    if (m_accepted_ != nullptr) {
-      // Even an empty batch must eventually reach the mirror so the
-      // "engine.batches" counter reconciles with stats().
-      MirrorDelta d;
-      d.events = 1;
-      d.batches = 1;
-      MirrorDelta flush;
-      {
-        std::lock_guard<std::mutex> g(shards_[0].mu);
-        MergePendingLocked(shards_[0], d, &flush);
-      }
-      ApplyMirror(flush);
-    }
-    return 0;
-  }
+  Tally t;
+  t.n[kBatches] = 1;
+  t.n[kBatchOps] = n;
   if (reasons != nullptr) std::fill_n(reasons, n, AbortReason::kNone);
 
   // Phase attribution (sampled): admission = batch entry to the first
@@ -962,6 +895,7 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
   // is elected champion and every other batched operation is throttled
   // until the champion commits.
   TxnId champion = kVirtualTxn;
+  uint64_t fallback_round = 0;  // Explain context of throttled rejects.
   if (n >= 2 && options_.batch_fallback_rounds > 0) {
     uint64_t cur = fallback_champion_.load(std::memory_order_acquire);
     if (cur == 0 &&
@@ -1005,7 +939,9 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
         champion = kVirtualTxn;
       }
       if (champion != kVirtualTxn) {
-        batch_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+        counters_[kBatchFallbacks]->Add(1);
+        fallback_round = counters_[kBatchFallbacks]->Value() -
+                         baseline_[kBatchFallbacks];
       }
     }
   }
@@ -1028,22 +964,16 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
   // whole batch is decided under one sorted acquisition.
   ShardLockSet want;
   for (size_t q = 0; q < n; ++q) {
-    want.Add(static_cast<uint32_t>(ops[q].item % num_shards_));
-    if (ops[q].txn != kVirtualTxn) {
-      want.Add(static_cast<uint32_t>(ops[q].txn % num_shards_));
-    }
+    want.Add(ShardIndex(ops[q].item));
+    if (ops[q].txn != kVirtualTxn) want.Add(ShardIndex(ops[q].txn));
   }
 
-  MirrorDelta mir;
-  MirrorDelta flush;
   size_t accepted = 0;
   size_t undecided = n;
-  uint64_t retries = 0;
-  uint64_t fallbacks = 0;
   bool lock_all = false;
   if (want.overflow) {  // More distinct shards than the set can track.
     lock_all = true;
-    ++fallbacks;
+    ++t.n[kFullLockFallbacks];
   }
 
   for (size_t attempt = 0;; ++attempt) {
@@ -1076,9 +1006,7 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
       if (op.txn == kVirtualTxn) {
         // T0 is virtual; it issues no operations. Not an admission
         // decision, so the single/cross-shard counters stay untouched.
-        ++shx.stats.rejected;
-        shx.stats.reject_reasons.Add(AbortReason::kInvalidOp);
-        ++mir.rejected[static_cast<size_t>(AbortReason::kInvalidOp)];
+        t.Reject(AbortReason::kInvalidOp);
         NoteRejectLocked(shx, AbortReason::kInvalidOp, op, kVirtualTxn);
         if (why != nullptr) *why = AbortReason::kInvalidOp;
         decisions[q] = OpDecision::kReject;
@@ -1096,11 +1024,7 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
         // holds. The vector reset (and no starvation seeding) keeps the
         // throttled transaction from rejoining as a super-competitor that
         // could outrank the champion.
-        if (cross) {
-          ++shx.stats.cross_shard_ops;
-        } else {
-          ++shx.stats.single_shard_ops;
-        }
+        ++t.n[cross ? kCrossShardOps : kSingleShardOps];
         const uint64_t wi = si.life;
         AbortReason reason = AbortReason::kBatchThrottled;
         if (LifeAborted(wi) || LifeCommitted(wi)) {
@@ -1124,15 +1048,11 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
             mv_dead_epoch_.fetch_add(1, std::memory_order_release);
           }
         }
-        ++shx.stats.rejected;
-        shx.stats.reject_reasons.Add(reason);
-        ++mir.rejected[static_cast<size_t>(reason)];
+        t.Reject(reason);
         NoteRejectLocked(
             shx, reason, op,
             reason == AbortReason::kBatchThrottled ? champion : kVirtualTxn,
-            reason == AbortReason::kBatchThrottled
-                ? batch_fallbacks_.load(std::memory_order_relaxed)
-                : 0);
+            reason == AbortReason::kBatchThrottled ? fallback_round : 0);
         if (why != nullptr) *why = reason;
         decisions[q] = OpDecision::kReject;
         decided[q] = 1;
@@ -1158,7 +1078,7 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
         const uint64_t dead_epoch =
             mv_dead_epoch_.load(std::memory_order_acquire);
         if (item.mv_unlink_epoch != dead_epoch) {
-          MvUnlinkDeadLocked(shx, item, mir);
+          MvUnlinkDeadLocked(item, t);
           item.mv_unlink_epoch = dead_epoch;
         }
         bool covered = all;
@@ -1171,8 +1091,7 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
         } else if (!covered) {
           covered = true;
           auto check = [&](const Access& a) {
-            if (a.txn != kVirtualTxn &&
-                !want.Has(static_cast<uint32_t>(a.txn % num_shards_))) {
+            if (a.txn != kVirtualTxn && !want.Has(ShardIndex(a.txn))) {
               covered = false;
             }
           };
@@ -1194,9 +1113,7 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
             }
           } else {
             auto widen = [&](const Access& a) {
-              if (a.txn != kVirtualTxn) {
-                next.Add(static_cast<uint32_t>(a.txn % num_shards_));
-              }
+              if (a.txn != kVirtualTxn) next.Add(ShardIndex(a.txn));
             };
             for (const MvVersion& v : item.mv_older) {
               widen(v.writer);
@@ -1207,18 +1124,14 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
           }
           continue;
         }
-        if (cross) {
-          ++shx.stats.cross_shard_ops;
-        } else {
-          ++shx.stats.single_shard_ops;
-        }
+        ++t.n[cross ? kCrossShardOps : kSingleShardOps];
         OpDecision d;
         if (phase_sampled && op.type == OpType::kRead) {
           const uint64_t t0 = NowNs();
-          d = DecideMvLocked(op, shx, item, si, why, mir);
+          d = DecideMvLocked(op, shx, item, si, why, t);
           mv_read_ns += NowNs() - t0;
         } else {
-          d = DecideMvLocked(op, shx, item, si, why, mir);
+          d = DecideMvLocked(op, shx, item, si, why, t);
         }
         decisions[q] = d;
         if (d == OpDecision::kAccept) ++accepted;
@@ -1232,10 +1145,8 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
       const LiveRef jw = TopLiveOf(item.top_writer, item.writers);
       bool covered = all;
       if (!covered) {
-        covered = (jr.txn == kVirtualTxn ||
-                   want.Has(static_cast<uint32_t>(jr.txn % num_shards_))) &&
-                  (jw.txn == kVirtualTxn ||
-                   want.Has(static_cast<uint32_t>(jw.txn % num_shards_)));
+        covered = (jr.txn == kVirtualTxn || want.Has(ShardIndex(jr.txn))) &&
+                  (jw.txn == kVirtualTxn || want.Has(ShardIndex(jw.txn)));
       }
       if (!covered) {
         // Defer to the next round: its lockset is rebuilt from scratch
@@ -1243,23 +1154,15 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
         // observed, so stale shards from earlier rounds drop out.
         next.Add(shx.index);
         next.Add(shi.index);
-        if (jr.txn != kVirtualTxn) {
-          next.Add(static_cast<uint32_t>(jr.txn % num_shards_));
-        }
-        if (jw.txn != kVirtualTxn) {
-          next.Add(static_cast<uint32_t>(jw.txn % num_shards_));
-        }
+        if (jr.txn != kVirtualTxn) next.Add(ShardIndex(jr.txn));
+        if (jw.txn != kVirtualTxn) next.Add(ShardIndex(jw.txn));
         continue;
       }
       // Everything DecideLocked touches - item stacks, the three vectors,
       // shard(x)'s counters - is under a held mutex. Liveness of jr/jw is
       // frozen too: clearing it needs their (held) shards.
-      if (cross) {
-        ++shx.stats.cross_shard_ops;
-      } else {
-        ++shx.stats.single_shard_ops;
-      }
-      const OpDecision d = DecideLocked(op, shx, item, si, jr, jw, why, mir);
+      ++t.n[cross ? kCrossShardOps : kSingleShardOps];
+      const OpDecision d = DecideLocked(op, shx, item, si, jr, jw, why, t);
       decisions[q] = d;
       if (d == OpDecision::kAccept) ++accepted;
       decided[q] = 1;
@@ -1268,21 +1171,6 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
     if (phase_sampled) decide_ns += NowNs() - t_decide0;
 
     if (undecided == 0) {
-      // Attribute the batch's retry work to a shard we still hold, and
-      // merge the batch's mirror deltas into its pending buffer - the
-      // buffer hands back a flush batch once it crosses mirror_flush_ops.
-      Shard& sh0 = all ? shards_[0] : shards_[want.At(0)];
-      sh0.stats.lock_retries += retries;
-      sh0.stats.full_lock_fallbacks += fallbacks;
-      if (m_accepted_ != nullptr) {
-        mir.events += n;
-        mir.batches += 1;
-        mir.batch_ops += n;
-        mir.retries += retries;
-        mir.fallbacks += fallbacks;
-        if (champion != kVirtualTxn) mir.batch_fallbacks += 1;
-        MergePendingLocked(sh0, mir, &flush);
-      }
       if (all) {
         for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
           it->mu.unlock();
@@ -1300,18 +1188,15 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
     // so after max_lock_retries unstable rounds take every lock.
     assert(!all);
     for (size_t q = want.count; q-- > 0;) shards_[want.At(q)].mu.unlock();
-    ++retries;
+    ++t.n[kLockRetries];
     want = next;
     if (next.overflow || attempt >= options_.max_lock_retries) {
       lock_all = true;
-      ++fallbacks;
+      ++t.n[kFullLockFallbacks];
     }
   }
 
-  // Deliver any flushed buffer outside the locks (the registry counters
-  // are themselves atomic); a batch that stays under the flush threshold
-  // costs zero registry touches here.
-  ApplyMirror(flush);
+  Flush(t);
   if (phase_sampled) {
     RecordPhase(TxnPhase::kAdmission, admission_ns, phase_tag);
     RecordPhase(TxnPhase::kLock, lock_ns, phase_tag);
@@ -1380,7 +1265,7 @@ void ShardedMtkEngine::CommitTxn(TxnId txn) {
     const uint64_t w = s.life;
     assert(!LifeAborted(w));
     StoreLife(s, w | 2);
-    if (m_commits_ != nullptr) m_commits_->Add(1);
+    m_commits_->Add(1);
     // Without a WAL the write set is still needed by multiversion mode
     // (commit-side chain pruning below); grab it here in that case. The
     // flight record reads it in place instead - see below.
@@ -1440,22 +1325,17 @@ void ShardedMtkEngine::CommitTxn(TxnId txn) {
     // Epoch read before the scrub: any death ordered before this load is
     // seen by the unlink, so stamping the items with it is conservative.
     const uint64_t dead_epoch = mv_dead_epoch_.load(std::memory_order_acquire);
-    MirrorDelta flush;
+    Tally t;
     for (const ItemId x : writes) {
       Shard& shx = ShardForItem(x);
-      MirrorDelta mir;
       LockShard(shx);
       ItemState& item = ItemLocked(shx, x);
-      MvUnlinkDeadLocked(shx, item, mir);
+      MvUnlinkDeadLocked(item, t);
       item.mv_unlink_epoch = dead_epoch;
-      MvPruneLocked(shx, item, wm, mir);
-      if (m_accepted_ != nullptr) {
-        mir.events += 1;
-        MergePendingLocked(shx, mir, &flush);
-      }
+      MvPruneLocked(item, wm, t);
       shx.mu.unlock();
     }
-    ApplyMirror(flush);
+    Flush(t);
   }
   // A commit is exactly what the livelock guardrail waits for: reset the
   // commit-free streak and depose the champion once it gets through.
@@ -1488,9 +1368,7 @@ void ShardedMtkEngine::RestartTxn(TxnId txn) {
   // count (a txn id commits at most once, so incarnations only ever come
   // from restarts); the gauge holds the window peak until a sampler's
   // watchdog consumes it.
-  if (m_consec_aborts_ != nullptr) {
-    m_consec_aborts_->SetMax(static_cast<int64_t>(LifeIncarnation(w)) + 1);
-  }
+  m_consec_aborts_->SetMax(static_cast<int64_t>(LifeIncarnation(w)) + 1);
   if (!options_.starvation_fix) {
     s.ts.Reset();  // Fresh, fully undefined vector.
   }
@@ -1530,14 +1408,16 @@ TimestampVector ShardedMtkEngine::TsSnapshot(TxnId txn) const {
 size_t ShardedMtkEngine::CompactAll() {
   MDTS_TRACE_SPAN("engine.compact");
   for (Shard& sh : shards_) LockShard(sh);
-  const size_t released = CompactAllLocked();
+  Tally t;
+  const size_t released = CompactAllLocked(t);
   for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
     it->mu.unlock();
   }
+  Flush(t);
   return released;
 }
 
-size_t ShardedMtkEngine::CompactAllLocked() {
+size_t ShardedMtkEngine::CompactAllLocked(Tally& t) {
   const bool mv = options_.multiversion;
   if (mv) {
     // 1-MV. Exact live watermark: with every shard lock held, no liveness
@@ -1566,17 +1446,12 @@ size_t ShardedMtkEngine::CompactAllLocked() {
     // Every shard lock is held, so the epoch read here covers every death
     // the sweep's unlinks will observe.
     const uint64_t dead_epoch = mv_dead_epoch_.load(std::memory_order_acquire);
-    MirrorDelta mir;
     for (Shard& sh : shards_) {
       for (ItemState& item : sh.items) {
-        MvUnlinkDeadLocked(sh, item, mir);
+        MvUnlinkDeadLocked(item, t);
         item.mv_unlink_epoch = dead_epoch;
-        MvPruneLocked(sh, item, wm, mir, /*force=*/true);
+        MvPruneLocked(item, wm, t, /*force=*/true);
       }
-    }
-    if (m_accepted_ != nullptr && (mir.versions_gc != 0 || mir.events != 0)) {
-      mir.events += 1;
-      shards_[0].pending.MergeFrom(mir);  // Delivered at the next flush.
     }
   } else {
     // 1. Truncate every item history to its live top (Section III-D-6a/b).
@@ -1603,12 +1478,12 @@ size_t ShardedMtkEngine::CompactAllLocked() {
   // readers (the stacks stay empty), and a referenced state must survive:
   // PeekState on a released chunk would dangle.
   std::vector<uint32_t> min_ref(num_shards_);
-  for (size_t t = 0; t < num_shards_; ++t) min_ref[t] = shards_[t].next_slot;
+  for (size_t s = 0; s < num_shards_; ++s) min_ref[s] = shards_[s].next_slot;
   auto note_ref = [&](const Access& a) {
     if (a.txn == kVirtualTxn) return;
-    const size_t t = a.txn % num_shards_;
-    min_ref[t] =
-        std::min(min_ref[t], static_cast<uint32_t>(a.txn / num_shards_));
+    const size_t s = ShardIndex(a.txn);
+    min_ref[s] =
+        std::min(min_ref[s], static_cast<uint32_t>(a.txn / num_shards_));
   };
   for (Shard& sh : shards_) {
     for (const ItemState& item : sh.items) {
@@ -1646,12 +1521,11 @@ size_t ShardedMtkEngine::CompactAllLocked() {
         sh.dir[ci].store(nullptr, std::memory_order_release);
       }
       sh.base_slot.store(slot, std::memory_order_release);
-      sh.stats.txns_released += slot - old_base;
       total += slot - old_base;
     }
   }
-  ++shards_[0].stats.compactions;
-  if (m_compactions_ != nullptr) m_compactions_->Add(1);
+  t.n[kTxnsReleased] += total;
+  ++t.n[kCompactions];
   return total;
 }
 
@@ -1704,7 +1578,7 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
     // write at the newest position reproduces the chains' version order.
     // Reader state is not logged (reads leave nothing to rebuild), so
     // recovered versions carry no readers.
-    MirrorDelta mir;
+    Tally t;
     for (size_t idx = 0; idx < recovery.records.size(); ++idx) {
       const WalCommitRecord& r = recovery.records[idx];
       if (r.txn == kVirtualTxn) continue;
@@ -1719,9 +1593,7 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
         it.mv_newest = MvVersion{};
         it.mv_newest.writer = {r.txn, 0};
         it.mv_newest.begin_stamp = stamp;
-        ++shx.stats.versions_installed;
-        ++mir.versions_installed;
-        live_versions_.fetch_add(1, std::memory_order_relaxed);
+        ++t.n[kVersionsInstalled];
       }
     }
     // Every recovered transaction is committed and nothing is live yet:
@@ -1731,14 +1603,11 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
     mv_watermark_.store(wm, std::memory_order_release);
     for (Shard& sh : shards_) {
       for (ItemState& it : sh.items) {
-        MvUnlinkDeadLocked(sh, it, mir);
-        MvPruneLocked(sh, it, wm, mir, /*force=*/true);
+        MvUnlinkDeadLocked(it, t);
+        MvPruneLocked(it, wm, t, /*force=*/true);
       }
     }
-    if (m_accepted_ != nullptr) {
-      mir.events += 1;
-      shards_[0].pending.MergeFrom(mir);  // Delivered at the next flush.
-    }
+    Flush(t);
   } else {
     // Reinstall the per-item committed top writers from the merged order;
     // reader state is not logged (reads leave nothing to rebuild), so the
@@ -1800,47 +1669,37 @@ bool ShardedMtkEngine::MvAuditChains() const {
 }
 
 EngineStats ShardedMtkEngine::stats() const {
+  uint64_t v[kNumCounts] = {};
+  for (size_t c = 0; c < kNumCounts; ++c) {
+    v[c] = counters_[c]->Value() - baseline_[c];
+  }
   EngineStats out;
-  MirrorDelta flush;
-  for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> g(sh.mu);
-    const EngineStats& s = sh.stats;
-    out.accepted += s.accepted;
-    out.rejected += s.rejected;
-    out.ignored_writes += s.ignored_writes;
-    out.set_calls += s.set_calls;
-    out.elements_assigned += s.elements_assigned;
-    out.element_comparisons += s.element_comparisons;
-    out.txns_released += s.txns_released;
-    out.single_shard_ops += s.single_shard_ops;
-    out.cross_shard_ops += s.cross_shard_ops;
-    out.lock_retries += s.lock_retries;
-    out.full_lock_fallbacks += s.full_lock_fallbacks;
-    out.lock_contention += s.lock_contention;
-    out.compactions += s.compactions;
-    out.hot_encodings += s.hot_encodings;
-    out.versions_installed += s.versions_installed;
-    out.versions_gc += s.versions_gc;
-    out.old_version_reads += s.old_version_reads;
-    out.read_rejects += s.read_rejects;
-    out.reject_reasons += s.reject_reasons;
-    // An observation point: drain every pending mirror buffer so the
-    // registry snapshot reconciles exactly with the returned stats.
-    if (m_accepted_ != nullptr && sh.pending.events != 0) {
-      flush.MergeFrom(sh.pending);
-      sh.pending = MirrorDelta{};
-    }
+  out.accepted = v[kAccepted];
+  out.ignored_writes = v[kIgnoredWrites];
+  out.set_calls = v[kSetCalls];
+  out.elements_assigned = v[kElementsAssigned];
+  out.element_comparisons = v[kElementComparisons];
+  out.txns_released = v[kTxnsReleased];
+  out.single_shard_ops = v[kSingleShardOps];
+  out.cross_shard_ops = v[kCrossShardOps];
+  out.lock_retries = v[kLockRetries];
+  out.full_lock_fallbacks = v[kFullLockFallbacks];
+  out.lock_contention = v[kLockContention];
+  out.compactions = v[kCompactions];
+  out.batches = v[kBatches];
+  out.batch_ops = v[kBatchOps];
+  out.hot_encodings = v[kHotEncodings];
+  out.batch_fallbacks = v[kBatchFallbacks];
+  out.versions_installed = v[kVersionsInstalled];
+  out.versions_gc = v[kVersionsGc];
+  out.old_version_reads = v[kOldVersionReads];
+  out.read_rejects = v[kReadRejects];
+  for (size_t r = 1; r < kNumAbortReasons; ++r) {
+    out.reject_reasons.counts[r] = v[kRejected + r - 1];
   }
-  out.batches = batches_.load(std::memory_order_relaxed);
-  out.batch_ops = batch_ops_.load(std::memory_order_relaxed);
-  out.batch_fallbacks = batch_fallbacks_.load(std::memory_order_relaxed);
-  const int64_t lv = live_versions_.load(std::memory_order_relaxed);
-  out.live_versions = lv < 0 ? 0 : static_cast<uint64_t>(lv);
-  auto* self = const_cast<ShardedMtkEngine*>(this);
-  self->ApplyMirror(flush);
-  if (options_.multiversion && m_live_versions_ != nullptr) {
-    m_live_versions_->Set(lv < 0 ? 0 : lv);
-  }
+  out.rejected = out.reject_reasons.total();
+  const int64_t live = m_live_versions_->Value();
+  out.live_versions = live < 0 ? 0 : static_cast<uint64_t>(live);
   return out;
 }
 

@@ -2,8 +2,10 @@
 #define MDTS_ENGINE_SHARDED_ENGINE_H_
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -103,13 +105,17 @@ struct EngineOptions {
   /// before falling back to locking every shard.
   size_t max_lock_retries = 16;
 
-  /// Registry the engine mirrors its hot counters into ("engine.accepted",
-  /// "engine.rejected.<reason>", "engine.lock_contention", ...). Null
-  /// disables mirroring entirely; the per-shard EngineStats keep counting
-  /// either way. The registry must outlive the engine. bench/mt_throughput
-  /// measures the attached-vs-null delta as obs_overhead_pct.
+  /// Registry holding the engine's counters ("engine.accepted",
+  /// "engine.rejected.<reason>", "engine.set_calls", ...): each event is
+  /// counted once, into its registry counter, and stats() reads them back.
+  /// Null makes the engine build a private registry, so a detached engine
+  /// counts exactly like an attached one; only the "engine.phase.*" phase
+  /// histograms (and their clock reads) need an attached registry. The
+  /// registry must outlive the engine. Engines built one after another may
+  /// share a registry (stats() subtracts the counts found at construction),
+  /// but two engines alive at the same time on one registry share counts.
   ///
-  /// Attached registries also receive the live starvation signal: every
+  /// The registry also receives the live starvation signal: every
   /// RestartTxn raises the gauge "engine.max_consecutive_aborts" to the
   /// restarting transaction's consecutive-abort count (its incarnation
   /// number), the windowed peak a Sampler's StarvationWatchdog consumes.
@@ -153,26 +159,14 @@ struct EngineOptions {
   /// admission: one live transaction is elected champion and every other
   /// batched operation is throttled (rejected with kBatchThrottled, no
   /// starvation seeding) until the champion commits, which guarantees
-  /// forward progress. Counted in EngineStats::batch_fallbacks and the
-  /// "engine.batch_fallbacks" registry mirror. 0 disables the guardrail.
+  /// forward progress. Counted in EngineStats::batch_fallbacks (registry
+  /// counter "engine.batch_fallbacks"). 0 disables the guardrail.
   /// Process (a batch of one) is never throttled.
   size_t batch_fallback_rounds = 64;
-
-  /// Registry-mirror buffering: counter deltas accumulate in per-shard
-  /// buffers (plain increments under shard locks the engine already holds)
-  /// and reach the attached registry only once a buffer has absorbed about
-  /// this many operations' worth of events - so mirroring costs a handful
-  /// of registry touches per flush window instead of several per
-  /// operation. stats() always flushes every buffer first, keeping the
-  /// snapshot == stats() reconciliation exact at observation points; live
-  /// consumers (Sampler windows) see deltas at most one window late under
-  /// load. 0 flushes every batch (the pre-buffering behavior). The
-  /// "engine.max_consecutive_aborts" gauge is never buffered - it is the
-  /// starvation watchdog's liveness signal.
-  size_t mirror_flush_ops = 256;
 };
 
-/// Work counters, aggregated over shards by ShardedMtkEngine::stats().
+/// Work counters, read by ShardedMtkEngine::stats() from the engine's
+/// registry counters (see EngineOptions::metrics).
 struct EngineStats {
   uint64_t accepted = 0;
   uint64_t rejected = 0;
@@ -275,7 +269,7 @@ class ShardedMtkEngine {
   /// issuer shards - is acquired once per optimistic round in sorted order,
   /// and every operation whose top accessors are covered by it is decided
   /// under that one acquisition, amortizing LockShard calls, liveness
-  /// resolution, and registry mirroring across the batch. Operations left
+  /// resolution, and counter updates across the batch. Operations left
   /// uncovered (a top accessor lives on an unlocked shard) are retried on
   /// the next round under a lockset rebuilt around the tops just observed,
   /// falling back to locking every shard after max_lock_retries rounds.
@@ -353,7 +347,9 @@ class ShardedMtkEngine {
   /// trivially true.
   bool MvAuditChains() const;
 
-  /// Sum of the per-shard counters.
+  /// The engine's counts since construction, read from the registry
+  /// counters without taking any shard lock (a relaxed read: exact once
+  /// the engine is quiescent).
   EngineStats stats() const;
 
   /// Transaction states currently backed by allocated chunks (the quantity
@@ -452,44 +448,41 @@ class ShardedMtkEngine {
     uint64_t mv_unlink_epoch = 0;
   };
 
-  /// Registry deltas accumulated across one batch, then merged into a
-  /// per-shard pending buffer (under a shard lock the batch already holds)
-  /// and flushed to the registry only once the buffer has absorbed about
-  /// mirror_flush_ops events - so mirroring costs a handful of registry
-  /// touches per flush window instead of several per operation. The
-  /// per-shard EngineStats are still updated inline under the shard locks;
-  /// stats() flushes every buffer, keeping reconciliation exact there.
-  struct MirrorDelta {
-    uint64_t events = 0;  // Operations merged in; drives the flush trigger.
-    uint64_t accepted = 0;
-    uint64_t ignored = 0;
-    uint64_t hot_encodings = 0;
-    uint64_t batches = 0;
-    uint64_t batch_ops = 0;
-    uint64_t retries = 0;
-    uint64_t fallbacks = 0;
-    uint64_t batch_fallbacks = 0;
-    uint64_t contention = 0;
-    uint64_t compactions = 0;
-    uint64_t versions_installed = 0;
-    uint64_t versions_gc = 0;
-    uint64_t rejected[kNumAbortReasons] = {};
+  /// One registry counter per EngineStats count (names in the .cc); the
+  /// per-reason reject counters follow at kRejected + reason - 1.
+  enum Count : size_t {
+    kAccepted,
+    kIgnoredWrites,
+    kSetCalls,
+    kElementsAssigned,
+    kElementComparisons,
+    kTxnsReleased,
+    kSingleShardOps,
+    kCrossShardOps,
+    kLockRetries,
+    kFullLockFallbacks,
+    kLockContention,
+    kCompactions,
+    kBatches,
+    kBatchOps,
+    kHotEncodings,
+    kBatchFallbacks,
+    kVersionsInstalled,
+    kVersionsGc,
+    kOldVersionReads,
+    kReadRejects,
+    kRejected,
+    kNumCounts = kRejected + kNumAbortReasons - 1,
+  };
 
-    void MergeFrom(const MirrorDelta& d) {
-      events += d.events;
-      accepted += d.accepted;
-      ignored += d.ignored;
-      hot_encodings += d.hot_encodings;
-      batches += d.batches;
-      batch_ops += d.batch_ops;
-      retries += d.retries;
-      fallbacks += d.fallbacks;
-      batch_fallbacks += d.batch_fallbacks;
-      contention += d.contention;
-      compactions += d.compactions;
-      versions_installed += d.versions_installed;
-      versions_gc += d.versions_gc;
-      for (size_t r = 0; r < kNumAbortReasons; ++r) rejected[r] += d.rejected[r];
+  /// Events of one engine call, tallied with plain stack increments and
+  /// added to the registry counters by Flush once before the call returns.
+  /// Nothing outlives the call.
+  struct Tally {
+    uint64_t n[kNumCounts] = {};
+    void Reject(AbortReason r) {
+      assert(r != AbortReason::kNone);
+      ++n[kRejected + static_cast<size_t>(r) - 1];
     }
   };
 
@@ -498,8 +491,8 @@ class ShardedMtkEngine {
   /// back by ExplainLastReject. `seq` comes from the engine-wide
   /// reject_seq_ ticket, so the newest record across shards is the one
   /// with the largest seq. For kBatchThrottled, `blocker` is the elected
-  /// champion and `fallback_round` the value of the engine-wide fallback
-  /// counter when the throttle fired (0 for every other reason).
+  /// champion and `fallback_round` the engine's fallback-batch count
+  /// including the throttling batch (0 for every other reason).
   struct RejectRecord {
     uint64_t seq = 0;  ///< 0 = no rejection recorded yet.
     AbortReason reason = AbortReason::kNone;
@@ -519,10 +512,6 @@ class ShardedMtkEngine {
     std::vector<ItemState> items;        // Local index item / N.
     TsElement ucount = 1;  // Raw last-column counters; encoded value is
     TsElement lcount = 0;  // raw * N + index.
-    EngineStats stats;
-    /// Buffered registry deltas (EngineOptions::mirror_flush_ops); mutated
-    /// under mu, flushed by FlushMirrorLocked once past the threshold.
-    MirrorDelta pending;
     /// Newest rejection decided on this shard (see RejectRecord).
     RejectRecord last_reject;
     Shard() : dir(kDirSize) {}
@@ -548,17 +537,15 @@ class ShardedMtkEngine {
     return static_cast<uint32_t>(w >> 2);
   }
 
-  Shard& ShardForTxn(TxnId txn) const { return shards_[txn % num_shards_]; }
-  Shard& ShardForItem(ItemId item) const {
-    return shards_[item % num_shards_];
+  /// Shard index of an item or transaction id, without the runtime
+  /// division when the shard count is a power of two (every bench/test
+  /// configuration): every striping lookup runs through it.
+  uint32_t ShardIndex(uint64_t x) const {
+    return static_cast<uint32_t>(shard_idx_mask_ != 0 ? (x & shard_idx_mask_)
+                                                      : (x % num_shards_));
   }
-
-  /// Shard index of `x` without the runtime division when the shard count
-  /// is a power of two (every bench/test configuration). The flight-record
-  /// paths run this per abort record; an idiv there is measurable.
-  size_t ShardIndex(uint64_t x) const {
-    return shard_idx_mask_ != 0 ? (x & shard_idx_mask_) : (x % num_shards_);
-  }
+  Shard& ShardForTxn(TxnId txn) const { return shards_[ShardIndex(txn)]; }
+  Shard& ShardForItem(ItemId item) const { return shards_[ShardIndex(item)]; }
 
   /// Lock-free state lookup for liveness peeks; null only for ids never
   /// created (which a stack entry can never reference).
@@ -580,22 +567,22 @@ class ShardedMtkEngine {
   /// Largest value of this shard's counter class that is < below.
   TsElement NextLower(Shard& sh, TsElement below);
 
-  VectorCompareResult CompareStates(Shard& shx, const TxnState& a,
-                                    const TxnState& b);
+  static VectorCompareResult CompareStates(Tally& t, const TxnState& a,
+                                           const TxnState& b);
 
   /// Algorithm 1's Set(j, i) under the covering locks, running the shared
   /// core/encoding.h helper with shard shx's counters for last-column
   /// assignments. On false, `why` receives the classified cause (kLexOrder
   /// or kEncodingExhausted).
   bool SetStates(Shard& shx, TxnState& sj, TxnState& si, TxnId j, TxnId i,
-                 bool hot_item, MirrorDelta& mir, AbortReason* why);
+                 bool hot_item, Tally& t, AbortReason* why);
 
   /// The decision body; every referenced shard's mutex is held. On kReject,
-  /// `*why` (when non-null) receives the classified cause. Registry deltas
-  /// go to `mir`, flushed by ProcessBatch after the locks drop.
+  /// `*why` (when non-null) receives the classified cause. Events go to the
+  /// caller's tally `t`.
   OpDecision DecideLocked(const Op& op, Shard& shx, ItemState& item,
                           TxnState& si, const LiveRef& jr, const LiveRef& jw,
-                          AbortReason* why, MirrorDelta& mir);
+                          AbortReason* why, Tally& t);
 
   /// Multiversion decision body (the MvMtkScheduler read walk and two-phase
   /// write placement run under shard locking): every shard referenced by
@@ -604,7 +591,7 @@ class ShardedMtkEngine {
   /// SetStates, and classifies rejects (kVersionConflict for infeasible
   /// write placements).
   OpDecision DecideMvLocked(const Op& op, Shard& shx, ItemState& item,
-                            TxnState& si, AbortReason* why, MirrorDelta& mir);
+                            TxnState& si, AbortReason* why, Tally& t);
 
   /// Lazily creates the chain's virtual-T0 base version.
   static void EnsureChainLocked(ItemState& item);
@@ -612,7 +599,7 @@ class ShardedMtkEngine {
   /// Unlinks versions whose writer is dead and reader entries that are
   /// dead (permanent states, so safe under shard(item) alone); counts the
   /// unlinked non-T0 versions as versions_gc. Requires shard(item).mu.
-  void MvUnlinkDeadLocked(Shard& shx, ItemState& item, MirrorDelta& mir);
+  void MvUnlinkDeadLocked(ItemState& item, Tally& t);
 
   /// Watermark truncation: after unlinking dead state, drops the
   /// oldest-prefix of versions strictly older than the newest committed
@@ -621,18 +608,12 @@ class ShardedMtkEngine {
   /// `force` (sweeps: CompactAll, RecoverFrom) bypasses the hysteresis
   /// gate that the per-commit incremental path uses to skip chains still
   /// within keep_tail + slack of their floor.
-  void MvPruneLocked(Shard& shx, ItemState& item, uint64_t watermark,
-                     MirrorDelta& mir, bool force = false);
+  void MvPruneLocked(ItemState& item, uint64_t watermark, Tally& t,
+                     bool force = false);
 
-  /// Merges `mir` into sh.pending under sh.mu; when the buffer crosses
-  /// mirror_flush_ops (or the threshold is 0), moves it into *flush so the
-  /// caller can ApplyMirror after dropping the lock. No-op registry-wise
-  /// when no registry is attached.
-  void MergePendingLocked(Shard& sh, const MirrorDelta& mir,
-                          MirrorDelta* flush);
-
-  /// Applies a flushed buffer to the registry mirrors; lock-free.
-  void ApplyMirror(const MirrorDelta& d);
+  /// Adds a call's tally to the registry counters (and the installed-minus-
+  /// collected difference to the "engine.live_versions" gauge); lock-free.
+  void Flush(const Tally& t);
 
   /// Records one attributed phase slice: microseconds into the
   /// "engine.phase.<name>_us" histogram (exemplar-tagged with the
@@ -641,7 +622,7 @@ class ShardedMtkEngine {
   void RecordPhase(TxnPhase phase, uint64_t ns, TxnId tag);
 
   /// True for the 1-in-2^phase_sample_shift events that get timed (always
-  /// false without a registry: the histograms would have nowhere to go).
+  /// false without an attached registry: the histograms live there).
   bool SamplePhases(std::atomic<uint64_t>& seq) const {
     return m_phase_[0] != nullptr &&
            (seq.fetch_add(1, std::memory_order_relaxed) & phase_mask_) == 0;
@@ -658,11 +639,11 @@ class ShardedMtkEngine {
   void NoteRejectLocked(Shard& shx, AbortReason reason, const Op& op,
                         TxnId blocker, uint64_t fallback_round = 0);
 
-  /// Acquires sh.mu, counting the acquisition as contended (per-shard
-  /// stats, registry mirror, trace instant) when try_lock fails first.
+  /// Acquires sh.mu, counting the acquisition as contended (registry
+  /// counter, trace instant) when try_lock fails first.
   void LockShard(Shard& sh);
 
-  size_t CompactAllLocked();
+  size_t CompactAllLocked(Tally& t);
 
   EngineOptions options_;
   size_t num_shards_;
@@ -674,9 +655,6 @@ class ShardedMtkEngine {
   /// Engine-wide commit counter driving the compact_every trigger. Relaxed:
   /// an occasional early or late CompactAll is harmless.
   std::atomic<uint64_t> commits_since_compact_{0};
-  /// Engine-wide batch counters (a batch has no single owning shard).
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> batch_ops_{0};
 
   // Livelock guardrail (see EngineOptions::batch_fallback_rounds). All
   // relaxed: the guardrail is a heuristic trigger, not a correctness gate -
@@ -689,8 +667,6 @@ class ShardedMtkEngine {
   /// clears a champion that stopped submitting (committed via another
   /// engine API, or its issuer gave up) so the guardrail cannot wedge.
   std::atomic<uint64_t> champion_missing_{0};
-  /// Fallback batches decided (EngineStats::batch_fallbacks).
-  std::atomic<uint64_t> batch_fallbacks_{0};
 
   /// Runtime MT(k+) width (see SetActiveK); initialized to options_.k.
   /// Relaxed everywhere: any value a decision loads is a sound width, and
@@ -708,9 +684,6 @@ class ShardedMtkEngine {
   /// Oldest live incarnation's begin stamp as of the last CompactAll;
   /// CommitTxn prunes written chains against it between sweeps.
   std::atomic<uint64_t> mv_watermark_{0};
-  /// Versions currently linked (excluding T0 bases); the bounded-memory
-  /// acceptance gauge.
-  std::atomic<int64_t> live_versions_{0};
   /// Install counter driving EngineOptions::install_crash.
   std::atomic<uint64_t> mv_installs_{0};
   /// Bumped (release) right after any store that sets an incarnation's
@@ -720,31 +693,22 @@ class ShardedMtkEngine {
   /// seeds mv_cover.
   std::atomic<uint64_t> mv_dead_epoch_{1};
 
-  /// Registry mirrors, resolved once at construction; all null when
-  /// options.metrics == nullptr, so the hot path pays one predictable
-  /// branch per event in the detached configuration.
-  Counter* m_accepted_ = nullptr;
-  Counter* m_ignored_ = nullptr;
-  Counter* m_rejected_[kNumAbortReasons] = {};
-  Counter* m_contention_ = nullptr;
-  Counter* m_retries_ = nullptr;
-  Counter* m_fallbacks_ = nullptr;
-  Counter* m_compactions_ = nullptr;
-  Counter* m_batches_ = nullptr;
-  Counter* m_batch_ops_ = nullptr;
-  Counter* m_hot_encodings_ = nullptr;
-  Counter* m_batch_fallbacks_ = nullptr;
-  Counter* m_versions_installed_ = nullptr;
-  Counter* m_versions_gc_ = nullptr;
-  /// Unbuffered commit mirror ("engine.commits"): bumped at the commit
-  /// point so windowed goodput - the admission controller's reward signal -
-  /// is never a flush window stale, unlike the buffered counters above.
+  /// Registry instruments, resolved once at construction from
+  /// options.metrics or, when that is null, from own_metrics_. baseline_
+  /// holds each counter's value at construction; stats() subtracts it.
+  std::unique_ptr<MetricsRegistry> own_metrics_;
+  Counter* counters_[kNumCounts] = {};
+  uint64_t baseline_[kNumCounts] = {};
+  /// "engine.commits", bumped at the commit point (windowed goodput, the
+  /// admission controller's reward signal; not an EngineStats field).
   Counter* m_commits_ = nullptr;
   Gauge* m_consec_aborts_ = nullptr;
+  /// Versions currently linked (excluding T0 bases), the bounded-memory
+  /// gauge; reset to 0 at construction.
   Gauge* m_live_versions_ = nullptr;
 
-  /// Phase-attribution state: the per-phase histograms (null without a
-  /// registry), the sampling mask (2^phase_sample_shift - 1), and the
+  /// Phase-attribution state: the per-phase histograms (null without an
+  /// attached registry), the sampling mask (2^phase_sample_shift - 1), and the
   /// batch/commit sequence counters the sampling gate consumes.
   Histogram* m_phase_[kNumTxnPhases] = {};
   uint64_t phase_mask_ = 0;

@@ -141,12 +141,14 @@ size_t DecodeFrame(const uint8_t* data, size_t len, size_t k,
   const uint32_t payload_len = GetU32(data);
   if (payload_len > kMaxPayloadBytes) return 0;
   if (len < kFrameHeaderBytes + payload_len) return 0;
-  const uint8_t* payload = data + kFrameHeaderBytes;
-  if (Crc32(payload, payload_len) != GetU32(data + 4)) return 0;
   if (payload_len < 8 + 8 * k) return 0;
-  out->txn = GetU32(payload);
+  const uint8_t* payload = data + kFrameHeaderBytes;
   const uint32_t nwrites = GetU32(payload + 4);
+  // Shape checks before the CRC: Recover probes every offset of a damaged
+  // tail, and almost no garbage gets past these.
   if (payload_len != 8 + 8 * k + 4 * size_t(nwrites)) return 0;
+  if (Crc32(payload, payload_len) != GetU32(data + 4)) return 0;
+  out->txn = GetU32(payload);
   out->vec.Reset();
   for (size_t m = 0; m < k; ++m) {
     const auto v = TsElement(GetU64(payload + 8 + 8 * m));
@@ -495,8 +497,22 @@ WalRecovery ParallelWal::Recover(const std::string& dir, bool truncate_torn) {
     }
     info.valid_bytes = off;
     info.records = seq;
-    info.torn = off < bytes.size();
-    if (info.torn) {
+    if (off < bytes.size()) {
+      // Torn tail or mid-log corruption: the latter leaves a CRC-valid
+      // frame somewhere after the bad one.
+      WalCommitRecord probe(k);
+      for (size_t p = off + 1; p < bytes.size() && !info.corrupt; ++p) {
+        info.corrupt =
+            DecodeFrame(bytes.data() + p, bytes.size() - p, k, &probe) != 0;
+      }
+      info.torn = !info.corrupt;
+    }
+    if (info.corrupt) {
+      if (out.error.empty()) {
+        out.error = path + ": undecodable frame at offset " +
+                    std::to_string(off) + " followed by valid frames";
+      }
+    } else if (info.torn) {
       ++out.torn_streams;
       if (truncate_torn) fs::resize_file(path, off, ec);
     }
@@ -506,6 +522,7 @@ WalRecovery ParallelWal::Recover(const std::string& dir, bool truncate_torn) {
     out.error = "no WAL streams found in " + dir;
     return out;
   }
+  if (!out.error.empty()) return out;  // A corrupt stream.
   // Merge by vector order: raw lexicographic element comparison (the
   // undefined sentinel INT64_MIN sorts low — see WalRecovery::records for
   // why this refines the Definition-6 order on conflicting pairs).

@@ -123,7 +123,13 @@ struct WalStreamRecovery {
   uint64_t file_bytes = 0;   ///< Size found on disk.
   uint64_t valid_bytes = 0;  ///< Prefix that parsed cleanly.
   uint64_t records = 0;
-  bool torn = false;  ///< valid_bytes < file_bytes: tail truncated.
+  /// valid_bytes < file_bytes and no valid frame follows: tail truncated.
+  bool torn = false;
+  /// A frame at valid_bytes fails to decode but a CRC-valid frame follows
+  /// it: mid-log corruption, not a torn tail. Nothing is truncated, and
+  /// the recovery as a whole is not ok (the records after the bad frame
+  /// may be acknowledged commits).
+  bool corrupt = false;
 };
 
 /// Result of ParallelWal::Recover: every valid record from every stream,
@@ -263,8 +269,13 @@ class ParallelWal {
 
   /// Reads every `wal-<i>.log` stream under `dir`, truncating torn tails
   /// (on disk too, when `truncate_torn`), and merges the records by vector
-  /// order. ok == false only for unusable input (no streams, k mismatch
-  /// across streams); torn tails and empty streams are normal outcomes.
+  /// order. A stream's tail is torn when no CRC-valid frame starts anywhere
+  /// after its first undecodable frame; when one does, the stream is
+  /// corrupt mid-log (WalStreamRecovery::corrupt) and is left untouched.
+  /// ok == false for unusable input (no streams, k mismatch across
+  /// streams, a corrupt stream); torn tails and empty streams are normal
+  /// outcomes. A damaged final frame cannot be told from a torn one and is
+  /// truncated like it.
   static WalRecovery Recover(const std::string& dir,
                              bool truncate_torn = true);
 

@@ -14,6 +14,7 @@
 
 #include "core/types.h"
 #include "engine/sharded_engine.h"
+#include "engine_tally.h"
 #include "obs/metrics.h"
 
 namespace mdts {
@@ -21,10 +22,12 @@ namespace {
 
 // One worker driving `width` concurrent transactions, one operation per
 // transaction per ProcessBatch call — the closed-loop shape the benchmark
-// uses. Returns the number of transactions committed.
+// uses. Returns the number of transactions committed; when `tally` is
+// non-null, every decision and reason handed back is noted there.
 uint64_t BatchWorker(ShardedMtkEngine& engine, size_t t, size_t stride,
                      size_t width, uint32_t txns_to_commit, ItemId items,
-                     size_t ops_per_txn, uint64_t seed) {
+                     size_t ops_per_txn, uint64_t seed,
+                     EngineTally* tally = nullptr) {
   std::mt19937_64 rng(seed);
   struct Slot {
     TxnId txn = 0;
@@ -39,6 +42,7 @@ uint64_t BatchWorker(ShardedMtkEngine& engine, size_t t, size_t stride,
   }
   std::vector<Op> batch(width);
   std::vector<OpDecision> dec(width);
+  std::vector<AbortReason> why(width);
   uint64_t rounds = 0;
   while (committed < txns_to_commit) {
     if (++rounds > 2000000) {
@@ -51,7 +55,9 @@ uint64_t BatchWorker(ShardedMtkEngine& engine, size_t t, size_t stride,
       batch[b].type = rng() % 2 == 0 ? OpType::kRead : OpType::kWrite;
       batch[b].item = static_cast<ItemId>(rng() % items);
     }
-    engine.ProcessBatch(std::span<const Op>(batch.data(), width), dec.data());
+    engine.ProcessBatch(std::span<const Op>(batch.data(), width), dec.data(),
+                        why.data());
+    if (tally != nullptr) tally->NoteBatch(dec, why.data());
     for (size_t b = 0; b < width; ++b) {
       Slot& s = slots[b];
       if (dec[b] == OpDecision::kReject) {
@@ -90,15 +96,17 @@ TEST(EngineBatchConcurrencyTest, MixedBatchPerOpAndCompactionTraffic) {
 
   std::atomic<uint64_t> committed{0};
   std::atomic<bool> done{false};
+  std::vector<EngineTally> tallies(kStride);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kBatchWorkers; ++t) {
-    threads.emplace_back([&engine, &committed, t] {
+    threads.emplace_back([&engine, &committed, &tallies, t] {
       committed += BatchWorker(engine, t, kStride, /*width=*/8,
-                               kTxnsPerWorker, kItems, kOpsPerTxn, 900 + t);
+                               kTxnsPerWorker, kItems, kOpsPerTxn, 900 + t,
+                               &tallies[t]);
     });
   }
   for (size_t t = kBatchWorkers; t < kStride; ++t) {
-    threads.emplace_back([&engine, &committed, t] {
+    threads.emplace_back([&engine, &committed, &tallies, t] {
       // Per-op closed loop sharing the same items and shard set.
       std::mt19937_64 rng(900 + t);
       for (uint32_t n = 0; n < kTxnsPerWorker; ++n) {
@@ -115,7 +123,10 @@ TEST(EngineBatchConcurrencyTest, MixedBatchPerOpAndCompactionTraffic) {
             op.txn = txn;
             op.type = rng() % 2 == 0 ? OpType::kRead : OpType::kWrite;
             op.item = static_cast<ItemId>(rng() % kItems);
-            ok = engine.Process(op) != OpDecision::kReject;
+            AbortReason why = AbortReason::kNone;
+            const OpDecision d = engine.Process(op, &why);
+            tallies[t].NoteBatch(std::span<const OpDecision>(&d, 1), &why);
+            ok = d != OpDecision::kReject;
           }
           if (ok) {
             engine.CommitTxn(txn);
@@ -152,21 +163,13 @@ TEST(EngineBatchConcurrencyTest, MixedBatchPerOpAndCompactionTraffic) {
   // commit up to width - 1 extra transactions.
   EXPECT_GE(committed.load(), kStride * kTxnsPerWorker);
   const EngineStats st = engine.stats();
-  EXPECT_EQ(st.reject_reasons.total(), st.rejected);
-  EXPECT_GT(st.batches, 0u);
   EXPECT_GT(st.batch_ops, st.batches);  // Batch workers used width 8.
   EXPECT_GT(st.hot_encodings, 0u);
   EXPECT_GT(st.compactions, 0u);
-  // Every decided operation took exactly one covered lock round.
-  EXPECT_EQ(st.accepted + st.ignored_writes + st.rejected,
-            st.single_shard_ops + st.cross_shard_ops);
-  // Registry mirrors flushed per batch must agree with the shard stats.
-  const auto snap = reg.Snapshot();
-  EXPECT_EQ(snap.CounterValue("engine.accepted"), st.accepted);
-  EXPECT_EQ(snap.CounterValue("engine.batches"), st.batches);
-  EXPECT_EQ(snap.CounterValue("engine.batch_ops"), st.batch_ops);
-  EXPECT_EQ(snap.CounterValue("engine.hot_encodings"), st.hot_encodings);
-  EXPECT_EQ(snap.CounterSum("engine.rejected."), st.rejected);
+  // The engine's counts must match what the workers were handed back.
+  EngineTally total;
+  for (const EngineTally& tally : tallies) total += tally;
+  ExpectCountsMatchTally(total, engine, reg);
 }
 
 TEST(EngineBatchConcurrencyTest, ConcurrentBatchesOnDisjointPartitions) {

@@ -7,8 +7,8 @@
 //     protocol variants, on seeded closed-loop workloads.
 //  2. Concurrency: multi-threaded chain traffic with commit-side GC and
 //     CompactAll sweeps must be race-clean, keep every chain's version
-//     order encoded (MvAuditChains), reconcile stats with the registry
-//     mirror, and keep live versions bounded.
+//     order encoded (MvAuditChains), reconcile the engine's counts with
+//     the workers' own tally of decisions, and keep live versions bounded.
 //  3. GC: the live watermark must reclaim superseded versions once no live
 //     transaction can reach them, and never a version a live reader pins.
 
@@ -22,6 +22,7 @@
 
 #include "core/types.h"
 #include "engine/sharded_engine.h"
+#include "engine_tally.h"
 #include "mvcc/mv_scheduler.h"
 #include "obs/metrics.h"
 
@@ -272,7 +273,7 @@ TEST(EngineMvTest, WriteConflictClassifiedAsVersionConflict) {
             st.rejected);
 }
 
-TEST(EngineMvTest, StatsReconcileWithRegistryMirror) {
+TEST(EngineMvTest, StatsReconcileWithCallerTally) {
   MetricsRegistry reg;
   EngineOptions eo;
   eo.k = 3;
@@ -280,7 +281,6 @@ TEST(EngineMvTest, StatsReconcileWithRegistryMirror) {
   eo.multiversion = true;
   eo.starvation_fix = true;
   eo.metrics = &reg;
-  eo.mirror_flush_ops = 64;  // Force buffering to actually buffer.
   eo.compact_every = 16;
   ShardedMtkEngine engine(eo);
 
@@ -288,37 +288,33 @@ TEST(EngineMvTest, StatsReconcileWithRegistryMirror) {
   TxnId next = 1;
   std::vector<Op> batch(4);
   std::vector<OpDecision> dec(4);
+  std::vector<AbortReason> why(4);
+  EngineTally tally;
+  uint64_t commits = 0;
   for (int round = 0; round < 400; ++round) {
     const TxnId t = next++;
     for (size_t b = 0; b < batch.size(); ++b) {
       batch[b] = {t, rng() % 2 == 0 ? OpType::kRead : OpType::kWrite,
                   static_cast<ItemId>(rng() % 8)};
     }
-    const size_t ok =
-        engine.ProcessBatch(std::span<const Op>(batch.data(), batch.size()),
-                            dec.data());
+    engine.ProcessBatch(std::span<const Op>(batch.data(), batch.size()),
+                        dec.data(), why.data());
+    tally.NoteBatch(dec, why.data());
     if (engine.IsAborted(t)) {
       engine.RestartTxn(t);
-    } else if (ok == batch.size()) {
-      engine.CommitTxn(t);
     } else {
-      engine.CommitTxn(t);  // Partial acceptance still commits: reads
-                            // and writes accepted so far are consistent.
+      // Partial acceptance still commits: reads and writes accepted so far
+      // are consistent.
+      engine.CommitTxn(t);
+      ++commits;
     }
   }
-  // stats() is the observation point: it drains every pending mirror
-  // buffer, so the snapshot below must reconcile exactly.
+  ExpectCountsMatchTally(tally, engine, reg);
   const EngineStats st = engine.stats();
   const MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_EQ(snap.CounterValue("engine.accepted"), st.accepted);
-  EXPECT_EQ(snap.CounterSum("engine.rejected."), st.rejected);
-  EXPECT_EQ(snap.CounterValue("engine.versions_installed"),
-            st.versions_installed);
-  EXPECT_EQ(snap.CounterValue("engine.versions_gc"), st.versions_gc);
-  EXPECT_EQ(snap.CounterValue("engine.lock_contention"), st.lock_contention);
-  EXPECT_EQ(snap.CounterValue("engine.batches"), st.batches);
-  EXPECT_EQ(snap.CounterValue("engine.batch_ops"), st.batch_ops);
-  EXPECT_EQ(snap.CounterValue("engine.compactions"), st.compactions);
+  // One compaction per compact_every commits, none from anywhere else.
+  EXPECT_EQ(st.compactions, commits / eo.compact_every);
+  EXPECT_EQ(snap.CounterValue("engine.commits"), commits);
   EXPECT_EQ(snap.GaugeValue("engine.live_versions"),
             static_cast<int64_t>(st.live_versions));
   EXPECT_EQ(st.live_versions, st.versions_installed - st.versions_gc);
@@ -452,7 +448,8 @@ TEST(EngineMvGcTest, CommitSidePruningBoundsChainsBetweenSweeps) {
 
 uint64_t MvWorker(ShardedMtkEngine& engine, size_t t, size_t stride,
                   uint32_t txns_to_commit, ItemId items, size_t ops_per_txn,
-                  uint64_t seed, std::atomic<uint64_t>* read_accepts) {
+                  uint64_t seed, std::atomic<uint64_t>* read_accepts,
+                  EngineTally* tally = nullptr) {
   std::mt19937_64 rng(seed);
   TxnId txn = static_cast<TxnId>(1 + t);
   uint32_t started = 1;
@@ -461,6 +458,7 @@ uint64_t MvWorker(ShardedMtkEngine& engine, size_t t, size_t stride,
   uint64_t rounds = 0;
   std::vector<Op> batch;
   std::vector<OpDecision> dec(4);
+  std::vector<AbortReason> why(4);
   while (committed < txns_to_commit) {
     if (++rounds > 2000000) {
       ADD_FAILURE() << "mv worker " << t << " starved at " << committed;
@@ -473,7 +471,11 @@ uint64_t MvWorker(ShardedMtkEngine& engine, size_t t, size_t stride,
                        static_cast<ItemId>(rng() % items)});
     }
     engine.ProcessBatch(std::span<const Op>(batch.data(), batch.size()),
-                        dec.data());
+                        dec.data(), why.data());
+    if (tally != nullptr) {
+      tally->NoteBatch(std::span<const OpDecision>(dec.data(), batch.size()),
+                       why.data());
+    }
     for (size_t b = 0; b < batch.size(); ++b) {
       if (dec[b] == OpDecision::kAccept &&
           batch[b].type == OpType::kRead) {
@@ -512,11 +514,11 @@ TEST(EngineMvConcurrencyTest, ChainAndGcRaces) {
   eo.multiversion = true;
   eo.starvation_fix = true;
   eo.metrics = &reg;
-  eo.mirror_flush_ops = 128;
   eo.compact_every = 64;
   ShardedMtkEngine engine(eo);
 
   std::atomic<uint64_t> read_accepts{0};
+  std::vector<EngineTally> tallies(kWorkers);
   std::vector<std::thread> threads;
   std::atomic<bool> stop{false};
   // A dedicated antagonist hammers CompactAll and stats() while workers
@@ -532,7 +534,7 @@ TEST(EngineMvConcurrencyTest, ChainAndGcRaces) {
   for (size_t t = 0; t < kWorkers; ++t) {
     threads.emplace_back([&, t] {
       MvWorker(engine, t, kWorkers, kTxnsPerWorker, kItems, kOpsPerTxn,
-               0x9E3779B97F4A7C15ull * (t + 1), &read_accepts);
+               0x9E3779B97F4A7C15ull * (t + 1), &read_accepts, &tallies[t]);
     });
   }
   for (std::thread& th : threads) th.join();
@@ -541,13 +543,10 @@ TEST(EngineMvConcurrencyTest, ChainAndGcRaces) {
 
   EXPECT_TRUE(engine.MvAuditChains());
 
+  EngineTally total;
+  for (const EngineTally& tally : tallies) total += tally;
+  ExpectCountsMatchTally(total, engine, reg);
   const EngineStats st = engine.stats();
-  const MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_EQ(snap.CounterValue("engine.accepted"), st.accepted);
-  EXPECT_EQ(snap.CounterSum("engine.rejected."), st.rejected);
-  EXPECT_EQ(snap.CounterValue("engine.versions_installed"),
-            st.versions_installed);
-  EXPECT_EQ(snap.CounterValue("engine.versions_gc"), st.versions_gc);
   EXPECT_EQ(st.live_versions, st.versions_installed - st.versions_gc);
 
   // Bounded memory: a final sweep with nothing live leaves at most one

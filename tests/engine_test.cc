@@ -11,6 +11,7 @@
 
 #include "core/mtk_scheduler.h"
 #include "core/types.h"
+#include "engine_tally.h"
 #include "obs/abort_reason.h"
 #include "obs/metrics.h"
 
@@ -575,8 +576,9 @@ TEST(ShardedEngineTest, VirtualTransactionIsProtectedAndImmutable) {
 }
 
 // Batch-path rejects must land in EngineStats.reject_reasons and in the
-// mirrored registry counters: per-reason equality, total() == rejected, and
-// the engine.batches / engine.batch_ops counters matching the stats struct.
+// registry counters exactly as the caller saw them: per-reason equality
+// with the decisions and reasons ProcessBatch handed back, total() ==
+// rejected, and engine.batches / engine.batch_ops matching the calls made.
 TEST(ShardedEngineTest, BatchRejectsReconcileWithStatsAndRegistry) {
   MetricsRegistry reg;
   EngineOptions eo;
@@ -595,6 +597,8 @@ TEST(ShardedEngineTest, BatchRejectsReconcileWithStatsAndRegistry) {
 
   std::vector<Op> batch(kBatch);
   std::vector<OpDecision> dec(kBatch);
+  std::vector<AbortReason> why(kBatch);
+  EngineTally tally;
   for (size_t round = 0; round < kRounds; ++round) {
     for (Op& op : batch) {
       // Mix in T0 submissions (kInvalidOp) and operations of transactions
@@ -604,7 +608,9 @@ TEST(ShardedEngineTest, BatchRejectsReconcileWithStatsAndRegistry) {
       op.type = rng() % 2 == 0 ? OpType::kRead : OpType::kWrite;
       op.item = static_cast<ItemId>(rng() % kItems);
     }
-    engine.ProcessBatch(std::span<const Op>(batch.data(), kBatch), dec.data());
+    engine.ProcessBatch(std::span<const Op>(batch.data(), kBatch), dec.data(),
+                        why.data());
+    tally.NoteBatch(dec, why.data());
     for (TxnId& slot : live) {
       if (engine.IsAborted(slot)) {
         if (rng() % 2 == 0) engine.RestartTxn(slot);
@@ -615,27 +621,12 @@ TEST(ShardedEngineTest, BatchRejectsReconcileWithStatsAndRegistry) {
     }
   }
 
-  const EngineStats st = engine.stats();
-  EXPECT_GT(st.rejected, 0u);
-  EXPECT_EQ(st.reject_reasons.total(), st.rejected);
-  EXPECT_GT(st.reject_reasons[AbortReason::kLexOrder], 0u);
-  EXPECT_GT(st.reject_reasons[AbortReason::kStaleTxn], 0u);
-  EXPECT_GT(st.reject_reasons[AbortReason::kInvalidOp], 0u);
-  EXPECT_EQ(st.batches, kRounds);
-  EXPECT_EQ(st.batch_ops, kRounds * kBatch);
-
-  const auto snap = reg.Snapshot();
-  EXPECT_EQ(snap.CounterValue("engine.accepted"), st.accepted);
-  EXPECT_EQ(snap.CounterValue("engine.batches"), st.batches);
-  EXPECT_EQ(snap.CounterValue("engine.batch_ops"), st.batch_ops);
-  EXPECT_EQ(snap.CounterSum("engine.rejected."), st.rejected);
-  for (size_t r = 1; r < kNumAbortReasons; ++r) {
-    const AbortReason reason = static_cast<AbortReason>(r);
-    EXPECT_EQ(snap.CounterValue(std::string("engine.rejected.") +
-                                AbortReasonName(reason)),
-              st.reject_reasons[reason])
-        << AbortReasonName(reason);
-  }
+  EXPECT_GT(tally.rejects[AbortReason::kLexOrder], 0u);
+  EXPECT_GT(tally.rejects[AbortReason::kStaleTxn], 0u);
+  EXPECT_GT(tally.rejects[AbortReason::kInvalidOp], 0u);
+  EXPECT_EQ(tally.batches, kRounds);
+  EXPECT_EQ(tally.batch_ops, kRounds * kBatch);
+  ExpectCountsMatchTally(tally, engine, reg);
 }
 
 }  // namespace

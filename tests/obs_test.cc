@@ -1,12 +1,15 @@
 #include "obs/metrics.h"
 
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/mtk_scheduler.h"
 #include "dist/dmt_system.h"
 #include "engine/sharded_engine.h"
+#include "engine_tally.h"
 #include "gtest/gtest.h"
 #include "obs/abort_reason.h"
 #include "obs/trace.h"
@@ -262,7 +265,7 @@ TEST(ReconciliationTest, FiveProtocolsShareTheTaxonomy) {
   }
 }
 
-TEST(ReconciliationTest, EngineStatsMatchMirroredRegistry) {
+TEST(ReconciliationTest, EngineCountsMatchCallerTally) {
   MetricsRegistry reg;
   EngineOptions eo;
   eo.k = 2;
@@ -271,9 +274,11 @@ TEST(ReconciliationTest, EngineStatsMatchMirroredRegistry) {
   ShardedMtkEngine engine(eo);
   constexpr int kThreads = 4;
   constexpr uint64_t kTxnsPerThread = 2000;
+  std::vector<EngineTally> tallies(kThreads);
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&engine, t] {
+    pool.emplace_back([&engine, &tallies, t] {
+      EngineTally& tally = tallies[t];
       uint64_t x = 88172645463325252ull + t;
       for (uint64_t n = 0; n < kTxnsPerThread; ++n) {
         const TxnId txn = 1 + t + n * kThreads;
@@ -287,7 +292,9 @@ TEST(ReconciliationTest, EngineStatsMatchMirroredRegistry) {
           op.type = (x & 1) ? OpType::kRead : OpType::kWrite;
           op.item = static_cast<ItemId>((x >> 8) % 8);  // Hot: conflicts.
           AbortReason reason = AbortReason::kNone;
-          ok = engine.Process(op, &reason) != OpDecision::kReject;
+          const OpDecision d = engine.Process(op, &reason);
+          tally.NoteBatch(std::span<const OpDecision>(&d, 1), &reason);
+          ok = d != OpDecision::kReject;
           if (!ok) {
             // Every rejection must carry a classified reason.
             EXPECT_NE(reason, AbortReason::kNone);
@@ -302,17 +309,176 @@ TEST(ReconciliationTest, EngineStatsMatchMirroredRegistry) {
     });
   }
   for (auto& th : pool) th.join();
-  const EngineStats st = engine.stats();
-  EXPECT_GT(st.rejected, 0u);  // The hot item set guarantees conflicts.
-  EXPECT_EQ(st.rejected, st.reject_reasons.total());
-  EXPECT_EQ(st.reject_reasons.unclassified(), 0u);
+  EngineTally total;
+  for (const EngineTally& t : tallies) total += t;
+  EXPECT_GT(total.rejects.total(), 0u);  // The hot item set guarantees
+                                         // conflicts.
+  ExpectCountsMatchTally(total, engine, reg);
+}
+
+// Counts reach the registry when the engine call that made them returns:
+// no stats() call (or any other observation point) is needed first.
+TEST(ReconciliationTest, RegistryCountsWithoutStatsCall) {
+  MetricsRegistry reg;
+  EngineOptions eo;
+  eo.metrics = &reg;
+  ShardedMtkEngine engine(eo);
+  ASSERT_EQ(engine.Process(Op{1, OpType::kWrite, 7}), OpDecision::kAccept);
   const MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_EQ(snap.CounterValue("engine.accepted"), st.accepted);
-  EXPECT_EQ(snap.CounterSum("engine.rejected."), st.rejected);
-  EXPECT_EQ(snap.CounterValue("engine.rejected.lex_order"),
-            st.reject_reasons[AbortReason::kLexOrder]);
-  EXPECT_EQ(snap.CounterValue("engine.lock_contention"),
-            st.lock_contention);
+  EXPECT_EQ(snap.CounterValue("engine.accepted"), 1u);
+  EXPECT_EQ(snap.CounterValue("engine.batches"), 1u);
+  EXPECT_EQ(snap.CounterValue("engine.batch_ops"), 1u);
+  EXPECT_EQ(snap.CounterValue("engine.set_calls"), 1u);
+  EXPECT_EQ(snap.CounterValue("engine.single_shard_ops") +
+                snap.CounterValue("engine.cross_shard_ops"),
+            1u);
+}
+
+// Engines built one after another on one registry: each stats() reports
+// only its own events, and the registry holds the sum.
+TEST(ReconciliationTest, SequentialEnginesShareRegistry) {
+  MetricsRegistry reg;
+  EngineOptions eo;
+  eo.k = 2;
+  eo.num_shards = 2;
+  eo.metrics = &reg;
+  EngineStats first;
+  {
+    ShardedMtkEngine engine(eo);
+    for (TxnId t = 1; t <= 5; ++t) {
+      engine.Process(Op{t, OpType::kWrite, t % 3});
+      engine.CommitTxn(t);
+    }
+    first = engine.stats();
+    EXPECT_EQ(first.accepted, 5u);
+    EXPECT_EQ(first.batches, 5u);
+  }
+  ShardedMtkEngine engine(eo);
+  EXPECT_EQ(engine.stats().accepted, 0u);
+  EXPECT_EQ(engine.stats().set_calls, 0u);
+  // T0 issues no operations: an invalid-op reject.
+  engine.Process(Op{kVirtualTxn, OpType::kRead, 1});
+  for (TxnId t = 1; t <= 3; ++t) engine.Process(Op{t, OpType::kRead, 0});
+  const EngineStats second = engine.stats();
+  EXPECT_EQ(second.accepted, 3u);
+  EXPECT_EQ(second.rejected, 1u);
+  EXPECT_EQ(second.reject_reasons[AbortReason::kInvalidOp], 1u);
+  EXPECT_EQ(second.batches, 4u);
+  const MetricsSnapshot snap = reg.Snapshot();
+  EXPECT_EQ(snap.CounterValue("engine.accepted"),
+            first.accepted + second.accepted);
+  EXPECT_EQ(snap.CounterValue("engine.batches"),
+            first.batches + second.batches);
+  EXPECT_EQ(snap.CounterValue("engine.set_calls"),
+            first.set_calls + second.set_calls);
+  EXPECT_EQ(snap.CounterValue("engine.element_comparisons"),
+            first.element_comparisons + second.element_comparisons);
+  EXPECT_EQ(snap.CounterValue("engine.rejected.invalid_op"), 1u);
+}
+
+// A detached engine (private registry) counts exactly like an attached
+// one on the same seeded single-threaded log.
+TEST(ReconciliationTest, DetachedEngineCountsLikeAttached) {
+  auto run = [](MetricsRegistry* reg, bool multiversion) {
+    EngineOptions eo;
+    eo.k = 3;
+    eo.num_shards = 4;
+    eo.starvation_fix = true;
+    eo.thomas_write_rule = !multiversion;
+    eo.optimized_encoding = true;
+    eo.hot_item_threshold = 4;
+    eo.multiversion = multiversion;
+    eo.compact_every = 32;
+    eo.metrics = reg;
+    ShardedMtkEngine engine(eo);
+    uint64_t x = 0x2545F4914F6CDD1Dull;
+    auto next = [&x] {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      return x;
+    };
+    TxnId txn = 1;
+    for (int n = 0; n < 600; ++n) {
+      std::vector<Op> batch(1 + next() % 3);
+      for (Op& op : batch) {
+        op = Op{txn, next() % 2 ? OpType::kRead : OpType::kWrite,
+                static_cast<ItemId>(next() % 12)};
+      }
+      std::vector<OpDecision> dec(batch.size());
+      engine.ProcessBatch(batch, dec.data());
+      if (engine.IsAborted(txn)) {
+        engine.RestartTxn(txn);
+      } else {
+        engine.CommitTxn(txn++);
+      }
+    }
+    engine.CompactAll();
+    return engine.stats();
+  };
+  for (const bool mv : {false, true}) {
+    MetricsRegistry reg;
+    const EngineStats a = run(&reg, mv);
+    const EngineStats d = run(nullptr, mv);
+    EXPECT_GT(a.accepted, 0u);
+    EXPECT_GT(a.rejected, 0u);
+    EXPECT_EQ(a.accepted, d.accepted) << mv;
+    EXPECT_EQ(a.rejected, d.rejected) << mv;
+    EXPECT_EQ(a.ignored_writes, d.ignored_writes) << mv;
+    EXPECT_EQ(a.set_calls, d.set_calls) << mv;
+    EXPECT_EQ(a.elements_assigned, d.elements_assigned) << mv;
+    EXPECT_EQ(a.element_comparisons, d.element_comparisons) << mv;
+    EXPECT_EQ(a.txns_released, d.txns_released) << mv;
+    EXPECT_EQ(a.single_shard_ops, d.single_shard_ops) << mv;
+    EXPECT_EQ(a.cross_shard_ops, d.cross_shard_ops) << mv;
+    EXPECT_EQ(a.lock_retries, d.lock_retries) << mv;
+    EXPECT_EQ(a.full_lock_fallbacks, d.full_lock_fallbacks) << mv;
+    EXPECT_EQ(a.lock_contention, d.lock_contention) << mv;
+    EXPECT_EQ(a.compactions, d.compactions) << mv;
+    EXPECT_EQ(a.batches, d.batches) << mv;
+    EXPECT_EQ(a.batch_ops, d.batch_ops) << mv;
+    EXPECT_EQ(a.hot_encodings, d.hot_encodings) << mv;
+    EXPECT_EQ(a.batch_fallbacks, d.batch_fallbacks) << mv;
+    EXPECT_EQ(a.versions_installed, d.versions_installed) << mv;
+    EXPECT_EQ(a.versions_gc, d.versions_gc) << mv;
+    EXPECT_EQ(a.live_versions, d.live_versions) << mv;
+    EXPECT_EQ(a.old_version_reads, d.old_version_reads) << mv;
+    EXPECT_EQ(a.read_rejects, d.read_rejects) << mv;
+    for (size_t r = 0; r < kNumAbortReasons; ++r) {
+      EXPECT_EQ(a.reject_reasons.counts[r], d.reject_reasons.counts[r])
+          << mv << " " << r;
+    }
+    // Each count sits under its own registry name.
+    const MetricsSnapshot snap = reg.Snapshot();
+    const std::pair<const char*, uint64_t> named[] = {
+        {"engine.accepted", a.accepted},
+        {"engine.ignored_writes", a.ignored_writes},
+        {"engine.set_calls", a.set_calls},
+        {"engine.elements_assigned", a.elements_assigned},
+        {"engine.element_comparisons", a.element_comparisons},
+        {"engine.txns_released", a.txns_released},
+        {"engine.single_shard_ops", a.single_shard_ops},
+        {"engine.cross_shard_ops", a.cross_shard_ops},
+        {"engine.lock_retries", a.lock_retries},
+        {"engine.full_lock_fallbacks", a.full_lock_fallbacks},
+        {"engine.lock_contention", a.lock_contention},
+        {"engine.compactions", a.compactions},
+        {"engine.batches", a.batches},
+        {"engine.batch_ops", a.batch_ops},
+        {"engine.hot_encodings", a.hot_encodings},
+        {"engine.batch_fallbacks", a.batch_fallbacks},
+        {"engine.versions_installed", a.versions_installed},
+        {"engine.versions_gc", a.versions_gc},
+        {"engine.old_version_reads", a.old_version_reads},
+        {"engine.read_rejects", a.read_rejects},
+    };
+    for (const auto& [name, value] : named) {
+      EXPECT_EQ(snap.CounterValue(name), value) << mv << " " << name;
+    }
+    EXPECT_EQ(snap.GaugeValue("engine.live_versions"),
+              static_cast<int64_t>(a.live_versions))
+        << mv;
+  }
 }
 
 TEST(ReconciliationTest, DmtAbortsMatchReasonsAndRegistry) {

@@ -389,6 +389,191 @@ TEST(WalWriterTest, TornTailDetectedAndTruncated) {
   fs::remove_all(dir);
 }
 
+// Writes `records` commit records to a fresh one-stream log and returns
+// the stream's bytes plus every frame's start offset (and the end offset
+// as the last entry).
+std::vector<uint8_t> CleanStream(const std::string& dir, size_t records,
+                                 std::vector<size_t>* frame_starts) {
+  WalOptions wo;
+  wo.dir = dir;
+  wo.num_streams = 1;
+  wo.k = 3;
+  wo.sync_policy = WalSyncPolicy::kNone;
+  {
+    ParallelWal wal(wo);
+    EXPECT_TRUE(wal.ok());
+    for (size_t r = 0; r < records; ++r) {
+      TimestampVector vec(3);
+      vec.Set(0, static_cast<TsElement>(r + 1));
+      std::vector<ItemId> writes(1 + r % 3);
+      for (size_t w = 0; w < writes.size(); ++w) {
+        writes[w] = static_cast<ItemId>(r * 7 + w);
+      }
+      EXPECT_TRUE(wal.AppendCommit(static_cast<TxnId>(r + 1), vec, writes));
+    }
+    wal.Close();
+  }
+  std::ifstream in(fs::path(dir) / "wal-0.log", std::ios::binary);
+  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  size_t off = wal_internal::kStreamHeaderBytes;
+  WalCommitRecord rec(3);
+  while (off < bytes.size()) {
+    frame_starts->push_back(off);
+    const size_t n =
+        wal_internal::DecodeFrame(bytes.data() + off, bytes.size() - off, 3,
+                                  &rec);
+    EXPECT_NE(n, 0u);
+    if (n == 0) break;
+    off += n;
+  }
+  frame_starts->push_back(off);
+  return bytes;
+}
+
+void WriteStream(const std::string& dir, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(fs::path(dir) / "wal-0.log",
+                    std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+// Recover on a log damaged inside frame `f`: damage in the last frame is
+// indistinguishable from a torn write and is truncated; damage anywhere
+// earlier leaves valid frames behind it, so the stream is reported
+// corrupt, recovery is not ok, and the file keeps every byte.
+void ExpectDamageClassified(const std::string& dir,
+                            const std::vector<uint8_t>& bad,
+                            const std::vector<size_t>& starts, size_t f,
+                            const std::string& what) {
+  WriteStream(dir, bad);
+  const WalRecovery rec = ParallelWal::Recover(dir);
+  ASSERT_EQ(rec.streams.size(), 1u) << what;
+  const WalStreamRecovery& s = rec.streams[0];
+  const size_t frames = starts.size() - 1;
+  EXPECT_EQ(s.valid_bytes, starts[f]) << what;
+  EXPECT_EQ(s.records, f) << what;
+  if (f + 1 == frames) {
+    EXPECT_TRUE(rec.ok) << what << ": " << rec.error;
+    EXPECT_TRUE(s.torn) << what;
+    EXPECT_FALSE(s.corrupt) << what;
+    EXPECT_EQ(rec.records.size(), f) << what;
+    EXPECT_EQ(fs::file_size(fs::path(dir) / "wal-0.log"), starts[f]) << what;
+  } else {
+    EXPECT_FALSE(rec.ok) << what;
+    EXPECT_FALSE(rec.error.empty()) << what;
+    EXPECT_TRUE(s.corrupt) << what;
+    EXPECT_FALSE(s.torn) << what;
+    EXPECT_EQ(rec.torn_streams, 0u) << what;
+    EXPECT_EQ(fs::file_size(fs::path(dir) / "wal-0.log"), bad.size())
+        << what;
+  }
+}
+
+TEST(WalRecoverFuzzTest, BitFlipsAreCorruptionUnlessInTheLastFrame) {
+  const std::string dir = FreshDir("fuzz_bitflip");
+  std::vector<size_t> starts;
+  const std::vector<uint8_t> clean = CleanStream(dir, 12, &starts);
+  ASSERT_EQ(starts.size(), 13u);
+  std::mt19937_64 rng(20261019);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Any byte of any frame, header fields included.
+    const size_t pos = starts.front() + rng() % (clean.size() - starts.front());
+    const int bit = static_cast<int>(rng() % 8);
+    std::vector<uint8_t> bad = clean;
+    bad[pos] ^= static_cast<uint8_t>(1u << bit);
+    const size_t f = static_cast<size_t>(
+        std::upper_bound(starts.begin(), starts.end(), pos) - starts.begin() -
+        1);
+    ExpectDamageClassified(dir, bad, starts, f,
+                           "flip byte " + std::to_string(pos) + " bit " +
+                               std::to_string(bit));
+  }
+  fs::remove_all(dir);
+}
+
+TEST(WalRecoverFuzzTest, LengthFieldDamageIsCorruptionUnlessInTheLastFrame) {
+  const std::string dir = FreshDir("fuzz_length");
+  std::vector<size_t> starts;
+  const std::vector<uint8_t> clean = CleanStream(dir, 8, &starts);
+  const size_t frames = starts.size() - 1;
+  ASSERT_EQ(frames, 8u);
+  std::mt19937_64 rng(77);
+  for (size_t f = 0; f < frames; ++f) {
+    const uint32_t len = static_cast<uint32_t>(starts[f + 1] - starts[f] -
+                                               wal_internal::kFrameHeaderBytes);
+    const uint32_t fuzzed[] = {0,
+                               1,
+                               len - 4,
+                               len - 1,
+                               len + 1,
+                               len + 4,
+                               wal_internal::kMaxPayloadBytes,
+                               wal_internal::kMaxPayloadBytes + 1,
+                               0xFFFFFFFFu,
+                               static_cast<uint32_t>(rng())};
+    for (const uint32_t v : fuzzed) {
+      if (v == len) continue;
+      std::vector<uint8_t> bad = clean;
+      for (int b = 0; b < 4; ++b) {
+        bad[starts[f] + b] = static_cast<uint8_t>(v >> (8 * b));
+      }
+      ExpectDamageClassified(dir, bad, starts, f,
+                             "frame " + std::to_string(f) + " length " +
+                                 std::to_string(v));
+    }
+  }
+  fs::remove_all(dir);
+}
+
+TEST(WalRecoverFuzzTest, CorruptStreamFailsRecoveryWithoutTouchingPeers) {
+  const std::string dir = FreshDir("fuzz_peers");
+  WalOptions wo;
+  wo.dir = dir;
+  wo.num_streams = 2;
+  wo.k = 3;
+  {
+    ParallelWal wal(wo);
+    ASSERT_TRUE(wal.ok());
+    TimestampVector vec(3);
+    for (TxnId t = 1; t <= 6; ++t) {
+      vec.Set(0, static_cast<TsElement>(t));
+      ASSERT_TRUE(wal.AppendCommit(t, vec, std::vector<ItemId>{t}));
+    }
+    wal.Close();
+  }
+  ASSERT_TRUE(ParallelWal::Recover(dir).ok);
+  // Damage the first frame of whichever stream holds at least two.
+  uint32_t victim = 2;
+  for (uint32_t i = 0; i < 2; ++i) {
+    const auto size = fs::file_size(fs::path(dir) / ("wal-" + std::to_string(i) + ".log"));
+    if (victim == 2 && size > wal_internal::kStreamHeaderBytes + 64) {
+      victim = i;
+    }
+  }
+  ASSERT_LT(victim, 2u);
+  const fs::path p = fs::path(dir) / ("wal-" + std::to_string(victim) + ".log");
+  const auto size = fs::file_size(p);
+  {
+    std::fstream io(p, std::ios::binary | std::ios::in | std::ios::out);
+    io.seekp(static_cast<std::streamoff>(wal_internal::kStreamHeaderBytes +
+                                         wal_internal::kFrameHeaderBytes));
+    io.put(0x5A);
+  }
+  const WalRecovery rec = ParallelWal::Recover(dir);
+  EXPECT_FALSE(rec.ok);
+  ASSERT_EQ(rec.streams.size(), 2u);
+  EXPECT_TRUE(rec.streams[victim].corrupt);
+  EXPECT_FALSE(rec.streams[1 - victim].corrupt);
+  EXPECT_EQ(fs::file_size(p), size);
+  // The engine refuses an unusable recovery instead of replaying a prefix.
+  EngineOptions eo;
+  eo.k = 3;
+  ShardedMtkEngine fresh(eo);
+  EXPECT_THROW(fresh.RecoverFrom(rec), std::invalid_argument);
+  fs::remove_all(dir);
+}
+
 TEST(WalWriterTest, SyncPoliciesAndMetrics) {
   TimestampVector vec(3);
   vec.Set(0, 1);

@@ -222,10 +222,12 @@ def main():
 
     # Multiversion bookkeeping lint: when a snapshot carries the
     # version-chain series, the live-version gauge should equal installs
-    # minus reclaims. A drained snapshot (taken after EngineStats, which
-    # flushes every mirror buffer) must satisfy it exactly; one taken
-    # mid-run can lag by the buffered counter deltas, so this is a warning
-    # and does not affect the exit code.
+    # minus reclaims. Each engine call adds its counts before it returns, so
+    # a snapshot of a quiescent engine satisfies it exactly; one taken
+    # mid-run can miss the calls still in flight, and a registry that held
+    # an earlier engine's counters carries that engine's installs and
+    # reclaims while the gauge restarts at 0 per engine. So this is a
+    # warning and does not affect the exit code.
     for label, counters, gauges in (("before", counters_a, gauges_a),
                                     ("after", counters_b, gauges_b)):
         if "engine.versions_installed" not in counters:
@@ -236,8 +238,8 @@ def main():
         if live != installed - gc:
             print(f"warning ({label}): engine.live_versions={live} != "
                   f"versions_installed={installed} - versions_gc={gc} "
-                  f"(= {installed - gc}; consistent only in drained "
-                  f"snapshots - buffered mirror deltas lag mid-run)")
+                  f"(= {installed - gc}; consistent only for one quiescent "
+                  f"engine per registry - calls in flight lag mid-run)")
 
     if changed == 0:
         print("snapshots match"
