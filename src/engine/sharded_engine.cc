@@ -22,41 +22,15 @@ uint64_t NowNs() {
                       .count());
 }
 
-/// Sorted set of shard indices for the deadlock-free ordered acquisition:
-/// insertion keeps the array ordered, membership is O(1) through the
-/// bitmask for indices < 64 (a linear scan beyond). Bounded at kCapacity
-/// entries; asking for more sets `overflow`, which callers answer by
-/// locking every shard.
-struct ShardLockSet {
-  static constexpr size_t kCapacity = 64;
-  uint32_t v[kCapacity];
-  size_t count = 0;
-  uint64_t mask = 0;
-  bool overflow = false;
-
-  uint32_t At(size_t q) const { return v[q]; }
-  bool Has(uint32_t s) const {
-    if (s < 64) return ((mask >> s) & 1) != 0;
-    for (size_t q = 0; q < count; ++q) {
-      if (v[q] == s) return true;
-    }
-    return false;
+/// The batch's first operation issued by a real transaction (kVirtualTxn
+/// when there is none): the guardrail's champion candidate and the phase
+/// exemplar tag.
+TxnId FirstRealTxn(std::span<const Op> ops) {
+  for (const Op& op : ops) {
+    if (op.txn != kVirtualTxn) return op.txn;
   }
-  void Add(uint32_t s) {
-    if (Has(s)) return;
-    if (count == kCapacity) {
-      overflow = true;
-      return;
-    }
-    size_t q = count++;
-    while (q > 0 && v[q - 1] > s) {
-      v[q] = v[q - 1];
-      --q;
-    }
-    v[q] = s;
-    if (s < 64) mask |= uint64_t{1} << s;
-  }
-};
+  return kVirtualTxn;
+}
 
 /// Registry names of the non-reject counts, in ShardedMtkEngine::Count
 /// order; the reject counters are "engine.rejected.<reason>".
@@ -77,13 +51,14 @@ constexpr const char* kCountNames[] = {
 
 ShardedMtkEngine::ShardedMtkEngine(const EngineOptions& options)
     : options_(options),
-      num_shards_(options.num_shards < 1 ? 1 : options.num_shards),
+      num_shards_(std::clamp<size_t>(options.num_shards, 1, kMaxShards)),
+      all_shards_(~uint64_t{0} >> (kMaxShards - num_shards_)),
       t0_(options.k) {
   assert(options_.k >= 1);
   options_.num_shards = num_shards_;
   active_k_.store(static_cast<uint32_t>(options_.k),
                   std::memory_order_relaxed);
-  if ((num_shards_ & (num_shards_ - 1)) == 0) {
+  if (std::has_single_bit(num_shards_)) {
     shard_idx_mask_ = num_shards_ - 1;
   }
   for (size_t s = 0; s < num_shards_; ++s) {
@@ -435,24 +410,20 @@ void ShardedMtkEngine::MvUnlinkDeadLocked(ItemState& item, Tally& t) {
   }
   for (MvVersion& v : item.mv_older) scrub_readers(v);
   scrub_readers(item.mv_newest);
-  if (num_shards_ <= 64) {
-    // Rebuild the shard-coverage mask from the survivors - the only place
-    // stale (dead-accessor) bits are ever shed. Incremental ORs at read
-    // and install time keep it a superset between unlinks.
-    uint64_t cover = 0;
-    auto add = [&](const Access& a) {
-      if (a.txn != kVirtualTxn) {
-        cover |= uint64_t{1} << ShardIndex(a.txn);
-      }
-    };
-    for (const MvVersion& v : item.mv_older) {
-      add(v.writer);
-      for (const Access& r : v.readers) add(r);
-    }
-    add(item.mv_newest.writer);
-    for (const Access& r : item.mv_newest.readers) add(r);
-    item.mv_cover = cover;
+  // Rebuild the shard-coverage mask from the survivors - the only place
+  // stale (dead-accessor) bits are ever shed. Incremental ORs at read and
+  // install time keep it a superset between unlinks.
+  uint64_t cover = 0;
+  auto add = [&](const Access& a) {
+    if (a.txn != kVirtualTxn) cover |= MaskOf(a.txn);
+  };
+  for (const MvVersion& v : item.mv_older) {
+    add(v.writer);
+    for (const Access& r : v.readers) add(r);
   }
+  add(item.mv_newest.writer);
+  for (const Access& r : item.mv_newest.readers) add(r);
+  item.mv_cover = cover;
 }
 
 void ShardedMtkEngine::MvPruneLocked(ItemState& item, uint64_t watermark,
@@ -567,7 +538,7 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
 
   // Combined chain view, oldest first: mv_older[0..n_old) then mv_newest.
   // Every entry is live - MvUnlinkDeadLocked ran under this lock and the
-  // batch lockset covers every chain writer's and reader's shard, freezing
+  // held shard mask covers every chain writer's and reader's shard, freezing
   // their liveness words and vectors for the whole decision.
   const size_t n_old = item.mv_older.size();
   const size_t chain_len = n_old + 1;
@@ -592,9 +563,7 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
       TxnState& sw = *PeekState(ver.writer.txn);
       if (SetStates(shx, sw, si, ver.writer.txn, i, hot, t, &cause)) {
         ver.readers.push_back({i, inc_i});
-        if (num_shards_ <= 64) {
-          item.mv_cover |= uint64_t{1} << ShardIndex(i);
-        }
+        item.mv_cover |= MaskOf(i);
         ver.read_stamp = mv_stamp_.fetch_add(1, std::memory_order_relaxed);
         if (live_seen > 1) ++t.n[kOldVersionReads];
         return accept();
@@ -752,9 +721,7 @@ OpDecision ShardedMtkEngine::DecideMvLocked(const Op& op, Shard& shx,
     item.mv_older.insert(item.mv_older.begin() + static_cast<long>(chosen + 1),
                          std::move(nv));
   }
-  if (num_shards_ <= 64) {
-    item.mv_cover |= uint64_t{1} << ShardIndex(i);
-  }
+  item.mv_cover |= MaskOf(i);
   ++t.n[kVersionsInstalled];
   // CommitTxn prunes the written chains (and the WAL logs the write set),
   // so multiversion mode always tracks writes.
@@ -841,11 +808,23 @@ std::string ShardedMtkEngine::ExplainLastReject() const {
   return out;
 }
 
-void ShardedMtkEngine::LockShard(Shard& sh) {
+void ShardedMtkEngine::LockShard(Shard& sh) const {
   if (sh.mu.try_lock()) return;
   sh.mu.lock();
   counters_[kLockContention]->Add(1);
   MDTS_TRACE_INSTANT_ARG("engine.shard_lock_contention", "shard", sh.index);
+}
+
+void ShardedMtkEngine::LockShards(uint64_t mask) const {
+  for (; mask != 0; mask &= mask - 1) {
+    LockShard(shards_[static_cast<size_t>(std::countr_zero(mask))]);
+  }
+}
+
+void ShardedMtkEngine::UnlockShards(uint64_t mask) const {
+  for (; mask != 0; mask &= mask - 1) {
+    shards_[static_cast<size_t>(std::countr_zero(mask))].mu.unlock();
+  }
 }
 
 OpDecision ShardedMtkEngine::Process(const Op& op, AbortReason* reason) {
@@ -853,6 +832,127 @@ OpDecision ShardedMtkEngine::Process(const Op& op, AbortReason* reason) {
   OpDecision d = OpDecision::kReject;
   ProcessBatch(std::span<const Op>(&op, 1), &d, reason);
   return d;
+}
+
+TxnId ShardedMtkEngine::ElectChampion(std::span<const Op> ops,
+                                      uint64_t* fallback_round) {
+  // Multi-op batches under heavy conflict can abort each other forever
+  // (every round rejects some peer, every rejected peer restarts and
+  // rejoins, and no transaction ever reaches CommitTxn - the benched
+  // batch>=8 collapse at 64 items). Commit-free multi-op batches are that
+  // livelock's engine-wide signature, so after batch_fallback_rounds of
+  // them admission is serialized: one transaction is elected champion and
+  // every other batched operation is throttled until the champion commits.
+  if (ops.size() < 2 || options_.batch_fallback_rounds == 0) {
+    return kVirtualTxn;
+  }
+  uint64_t cur = fallback_champion_.load(std::memory_order_acquire);
+  if (cur == 0 &&
+      batches_since_commit_.fetch_add(1, std::memory_order_relaxed) + 1 >=
+          options_.batch_fallback_rounds) {
+    TxnId cand = FirstRealTxn(ops);
+    if (cand != kVirtualTxn) {
+      uint64_t expected = 0;
+      if (!fallback_champion_.compare_exchange_strong(
+              expected, cand, std::memory_order_acq_rel)) {
+        cand = static_cast<TxnId>(expected);  // Adopt the race winner.
+      }
+      cur = cand;
+    }
+  }
+  if (cur == 0) return kVirtualTxn;
+  const TxnId champion = static_cast<TxnId>(cur);
+  const bool present =
+      std::any_of(ops.begin(), ops.end(),
+                  [&](const Op& op) { return op.txn == champion; });
+  if (present) {
+    champion_missing_.store(0, std::memory_order_relaxed);
+  } else if (champion_missing_.fetch_add(1, std::memory_order_relaxed) + 1 >=
+             options_.batch_fallback_rounds) {
+    // The champion stopped submitting batches (its issuer gave up or
+    // commits through another path): depose it so peers can progress.
+    fallback_champion_.compare_exchange_strong(cur, 0,
+                                               std::memory_order_acq_rel);
+    champion_missing_.store(0, std::memory_order_relaxed);
+    return kVirtualTxn;
+  }
+  counters_[kBatchFallbacks]->Add(1);
+  *fallback_round =
+      counters_[kBatchFallbacks]->Value() - baseline_[kBatchFallbacks];
+  return champion;
+}
+
+OpDecision ShardedMtkEngine::ThrottleLocked(const Op& op, Shard& shx,
+                                            TxnState& si, TxnId champion,
+                                            uint64_t fallback_round,
+                                            AbortReason* why, Tally& t) {
+  const uint64_t wi = si.life;
+  AbortReason reason = AbortReason::kBatchThrottled;
+  if (LifeAborted(wi) || LifeCommitted(wi)) {
+    reason = AbortReason::kStaleTxn;
+    champion = kVirtualTxn;
+    fallback_round = 0;
+  } else {
+    if (options_.flight != nullptr) {
+      // Captured before the throttle reset flushes TS(i); the champion is
+      // the blocker the throttled peer waits out.
+      options_.flight->RecordAbort(
+          op.txn, op.txn, reason, champion, &op,
+          ShardBit(shx.index) | ShardBit(ShardIndex(op.txn)), &si.ts,
+          FlightRecorder::CoarseNowUs());
+    }
+    si.ts.Reset();
+    si.writes.clear();
+    si.fw_total = 0;
+    si.fw_mask = 0;
+    StoreLife(si, wi | 1);
+    if (options_.multiversion) {
+      mv_dead_epoch_.fetch_add(1, std::memory_order_release);
+    }
+  }
+  t.Reject(reason);
+  NoteRejectLocked(shx, reason, op, champion, fallback_round);
+  if (why != nullptr) *why = reason;
+  return OpDecision::kReject;
+}
+
+uint64_t ShardedMtkEngine::NeedLocked(const Op& op, ItemState& item,
+                                      LiveRef* jr, LiveRef* jw, Tally& t) {
+  const uint64_t base = MaskOf(op.item) | MaskOf(op.txn);
+  if (!options_.multiversion) {
+    // Lines 5-6 read the tops' vectors. Resolving them needs only
+    // shard(x): liveness reads are lock-free.
+    *jr = TopLiveOf(item.top_reader, item.readers);
+    *jw = TopLiveOf(item.top_writer, item.writers);
+    return base | (jr->txn != kVirtualTxn ? MaskOf(jr->txn) : 0) |
+           (jw->txn != kVirtualTxn ? MaskOf(jw->txn) : 0);
+  }
+  // Multiversion decisions touch every live chain writer's and reader's
+  // vector (reads order against writers; writes also against readers).
+  // Unlinking dead chain state first (safe under shard(x) alone) keeps
+  // the need to the live population - but the walk only pays off when
+  // something died, so it is gated on the engine-wide dead epoch: equal
+  // epochs mean no abort store since this chain's last scrub. (A death
+  // racing this very decision was always possible - liveness reads are
+  // lock-free - and stays benign: encodings against a just-dead
+  // transaction merely add constraints, and the entry is unlinked at the
+  // next epoch change.) mv_cover is a superset of the live accessors'
+  // shards, so a stale bit at worst defers the op one round.
+  EnsureChainLocked(item);
+  const uint64_t dead_epoch = mv_dead_epoch_.load(std::memory_order_acquire);
+  if (item.mv_unlink_epoch != dead_epoch) {
+    MvUnlinkDeadLocked(item, t);
+    item.mv_unlink_epoch = dead_epoch;
+  }
+  return base | item.mv_cover;
+}
+
+void ShardedMtkEngine::RecordBatchPhases(const BatchClock& c) {
+  RecordPhase(TxnPhase::kAdmission, c.admission, c.tag);
+  RecordPhase(TxnPhase::kLock, c.lock, c.tag);
+  RecordPhase(TxnPhase::kDecide,
+              c.decide > c.mv_read ? c.decide - c.mv_read : 0, c.tag);
+  if (options_.multiversion) RecordPhase(TxnPhase::kMvRead, c.mv_read, c.tag);
 }
 
 size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
@@ -866,85 +966,18 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
   if (reasons != nullptr) std::fill_n(reasons, n, AbortReason::kNone);
 
   // Phase attribution (sampled): admission = batch entry to the first
-  // lock acquisition, lock = acquiring the sorted locksets (all rounds),
+  // lock acquisition, lock = acquiring the shard masks (all rounds),
   // decide = the decision loops minus the MV read walks, mv_read = the MV
-  // read-path decisions. Unsampled batches skip every clock read.
-  const bool phase_sampled = SamplePhases(batch_seq_);
-  uint64_t t_entry = 0;
-  uint64_t admission_ns = 0;
-  uint64_t lock_ns = 0;
-  uint64_t decide_ns = 0;
-  uint64_t mv_read_ns = 0;
-  TxnId phase_tag = kVirtualTxn;
-  if (phase_sampled) {
-    t_entry = NowNs();
-    for (const Op& op : ops) {
-      if (op.txn != kVirtualTxn) {
-        phase_tag = op.txn;
-        break;
-      }
-    }
+  // read-path decisions.
+  BatchClock clock;
+  clock.on = SamplePhases(batch_seq_);
+  if (clock.on) {
+    clock.entry = NowNs();
+    clock.tag = FirstRealTxn(ops);
   }
 
-  // Livelock guardrail: multi-op batches under heavy conflict can abort
-  // each other forever (every round rejects some peer, every rejected peer
-  // restarts and rejoins, and no transaction ever reaches CommitTxn - the
-  // benched batch>=8 collapse at 64 items). Commit-free multi-op batches
-  // are that livelock's engine-wide signature, so after
-  // batch_fallback_rounds of them admission is serialized: one transaction
-  // is elected champion and every other batched operation is throttled
-  // until the champion commits.
-  TxnId champion = kVirtualTxn;
   uint64_t fallback_round = 0;  // Explain context of throttled rejects.
-  if (n >= 2 && options_.batch_fallback_rounds > 0) {
-    uint64_t cur = fallback_champion_.load(std::memory_order_acquire);
-    if (cur == 0 &&
-        batches_since_commit_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-            options_.batch_fallback_rounds) {
-      TxnId cand = kVirtualTxn;
-      for (const Op& op : ops) {
-        if (op.txn != kVirtualTxn) {
-          cand = op.txn;
-          break;
-        }
-      }
-      if (cand != kVirtualTxn) {
-        uint64_t expected = 0;
-        if (!fallback_champion_.compare_exchange_strong(
-                expected, cand, std::memory_order_acq_rel)) {
-          cand = static_cast<TxnId>(expected);  // Adopt the race winner.
-        }
-        cur = cand;
-      }
-    }
-    if (cur != 0) {
-      champion = static_cast<TxnId>(cur);
-      bool present = false;
-      for (const Op& op : ops) {
-        if (op.txn == champion) {
-          present = true;
-          break;
-        }
-      }
-      if (present) {
-        champion_missing_.store(0, std::memory_order_relaxed);
-      } else if (champion_missing_.fetch_add(1, std::memory_order_relaxed) +
-                     1 >=
-                 options_.batch_fallback_rounds) {
-        // The champion stopped submitting batches (its issuer gave up or
-        // commits through another path): depose it so peers can progress.
-        fallback_champion_.compare_exchange_strong(
-            cur, 0, std::memory_order_acq_rel);
-        champion_missing_.store(0, std::memory_order_relaxed);
-        champion = kVirtualTxn;
-      }
-      if (champion != kVirtualTxn) {
-        counters_[kBatchFallbacks]->Add(1);
-        fallback_round = counters_[kBatchFallbacks]->Value() -
-                         baseline_[kBatchFallbacks];
-      }
-    }
-  }
+  const TxnId champion = ElectChampion(ops, &fallback_round);
 
   // Decided flags, inline for typical batch sizes.
   constexpr size_t kInlineBatch = 128;
@@ -958,255 +991,102 @@ size_t ShardedMtkEngine::ProcessBatch(std::span<const Op> ops,
     std::fill_n(inline_flags, n, uint8_t{0});
   }
 
-  // Round-one lockset: the union of every operation's base pair (item
-  // shard, issuer shard). Tops are discovered under the locks; with a few
-  // operations per batch the union usually covers them already, so the
-  // whole batch is decided under one sorted acquisition.
-  ShardLockSet want;
-  for (size_t q = 0; q < n; ++q) {
-    want.Add(ShardIndex(ops[q].item));
-    if (ops[q].txn != kVirtualTxn) want.Add(ShardIndex(ops[q].txn));
+  // Round one locks the union of every operation's item and issuer shards.
+  // Tops are discovered under the locks; with a few operations per batch
+  // the union usually covers them already, so the whole batch is decided
+  // under one acquisition.
+  uint64_t want = 0;
+  for (const Op& op : ops) {
+    want |= MaskOf(op.item);
+    if (op.txn != kVirtualTxn) want |= MaskOf(op.txn);
   }
 
   size_t accepted = 0;
   size_t undecided = n;
-  bool lock_all = false;
-  if (want.overflow) {  // More distinct shards than the set can track.
-    lock_all = true;
-    ++t.n[kFullLockFallbacks];
-  }
-
   for (size_t attempt = 0;; ++attempt) {
     uint64_t t_lock0 = 0;
-    if (phase_sampled) {
+    if (clock.on) {
       t_lock0 = NowNs();
-      if (attempt == 0) admission_ns = t_lock0 - t_entry;
+      if (attempt == 0) clock.admission = t_lock0 - clock.entry;
     }
-    const bool all = lock_all;  // Lock and unlock must use the same mode.
-    if (all) {
-      for (Shard& sh : shards_) LockShard(sh);
-    } else {
-      for (size_t q = 0; q < want.count; ++q) {
-        LockShard(shards_[want.At(q)]);
-      }
-    }
+    LockShards(want);
     uint64_t t_decide0 = 0;
-    if (phase_sampled) {
+    if (clock.on) {
       t_decide0 = NowNs();
-      lock_ns += t_decide0 - t_lock0;
+      clock.lock += t_decide0 - t_lock0;
     }
-    const bool cross = all || want.count > 1;
+    const Count shard_ops =
+        std::has_single_bit(want) ? kSingleShardOps : kCrossShardOps;
 
-    ShardLockSet next;
+    // The next round's mask is rebuilt from scratch around the needs of
+    // the operations this round defers, so stale shards drop out.
+    uint64_t next = 0;
     for (size_t q = 0; q < n; ++q) {
       if (decided[q] != 0) continue;
       const Op& op = ops[q];
       AbortReason* why = reasons != nullptr ? &reasons[q] : nullptr;
       Shard& shx = ShardForItem(op.item);
+      OpDecision d;
       if (op.txn == kVirtualTxn) {
         // T0 is virtual; it issues no operations. Not an admission
         // decision, so the single/cross-shard counters stay untouched.
         t.Reject(AbortReason::kInvalidOp);
         NoteRejectLocked(shx, AbortReason::kInvalidOp, op, kVirtualTxn);
         if (why != nullptr) *why = AbortReason::kInvalidOp;
-        decisions[q] = OpDecision::kReject;
-        decided[q] = 1;
-        --undecided;
-        continue;
-      }
-      Shard& shi = ShardForTxn(op.txn);
-      TxnState& si = StateLocked(shi, op.txn);
-      if (champion != kVirtualTxn && op.txn != champion) {
-        // Serialized-admission fallback: throttle every non-champion
-        // operation. Decided in round one - shi and shx are always in the
-        // round-one lockset - and counted as a normal admission decision
-        // so the accepted + ignored + rejected == single + cross invariant
-        // holds. The vector reset (and no starvation seeding) keeps the
-        // throttled transaction from rejoining as a super-competitor that
-        // could outrank the champion.
-        ++t.n[cross ? kCrossShardOps : kSingleShardOps];
-        const uint64_t wi = si.life;
-        AbortReason reason = AbortReason::kBatchThrottled;
-        if (LifeAborted(wi) || LifeCommitted(wi)) {
-          reason = AbortReason::kStaleTxn;
+        d = OpDecision::kReject;
+      } else {
+        TxnState& si = StateLocked(ShardForTxn(op.txn), op.txn);
+        if (champion != kVirtualTxn && op.txn != champion) {
+          // Decided in round one: shard(x) and shard(i) are always held.
+          ++t.n[shard_ops];
+          d = ThrottleLocked(op, shx, si, champion, fallback_round, why, t);
         } else {
-          if (options_.flight != nullptr) {
-            // Captured before the throttle reset flushes TS(i); the
-            // champion is the blocker the throttled peer waits out.
-            options_.flight->RecordAbort(
-                op.txn, op.txn, reason, champion, &op,
-                ShardBit(ShardIndex(op.item)) |
-                    ShardBit(ShardIndex(op.txn)),
-                &si.ts, FlightRecorder::CoarseNowUs());
+          ItemState& item = ItemLocked(shx, op.item);
+          LiveRef jr;
+          LiveRef jw;
+          const uint64_t need = NeedLocked(op, item, &jr, &jw, t);
+          if ((need & ~want) != 0) {
+            next |= need;
+            continue;
           }
-          si.ts.Reset();
-          si.writes.clear();
-          si.fw_total = 0;
-          si.fw_mask = 0;
-          StoreLife(si, wi | 1);
-          if (options_.multiversion) {
-            mv_dead_epoch_.fetch_add(1, std::memory_order_release);
-          }
-        }
-        t.Reject(reason);
-        NoteRejectLocked(
-            shx, reason, op,
-            reason == AbortReason::kBatchThrottled ? champion : kVirtualTxn,
-            reason == AbortReason::kBatchThrottled ? fallback_round : 0);
-        if (why != nullptr) *why = reason;
-        decisions[q] = OpDecision::kReject;
-        decided[q] = 1;
-        --undecided;
-        continue;
-      }
-      ItemState& item = ItemLocked(shx, op.item);
-      if (options_.multiversion) {
-        // Multiversion decisions touch every live chain writer's and
-        // reader's vector (reads order against writers; writes also
-        // against readers), so the lockset must cover all their shards -
-        // the MV analogue of the single-version top-accessor coverage.
-        // Unlinking dead chain state first (safe under shard(x) alone)
-        // keeps the coverage set to the live population.
-        EnsureChainLocked(item);
-        // The per-op dead-unlink walk only pays off when something died:
-        // gate it on the engine-wide dead epoch. Equal epochs mean no
-        // abort store since this chain's last scrub, so no entry can be
-        // dead. (A death racing this very decision was always possible -
-        // liveness reads are lock-free - and stays benign: the encodings
-        // against a just-dead transaction merely add constraints, and the
-        // entry is unlinked at the next epoch change.)
-        const uint64_t dead_epoch =
-            mv_dead_epoch_.load(std::memory_order_acquire);
-        if (item.mv_unlink_epoch != dead_epoch) {
-          MvUnlinkDeadLocked(item, t);
-          item.mv_unlink_epoch = dead_epoch;
-        }
-        bool covered = all;
-        if (!covered && num_shards_ <= 64) {
-          // One mask test against the chain's shard-coverage summary. The
-          // mask is a superset of the live accessors' shards, so a pass
-          // here is exactly as sound as the full walk; a stale bit at
-          // worst defers the op one round with an over-wide lockset.
-          covered = (item.mv_cover & ~want.mask) == 0;
-        } else if (!covered) {
-          covered = true;
-          auto check = [&](const Access& a) {
-            if (a.txn != kVirtualTxn && !want.Has(ShardIndex(a.txn))) {
-              covered = false;
-            }
-          };
-          for (const MvVersion& v : item.mv_older) {
-            check(v.writer);
-            for (const Access& r : v.readers) check(r);
-          }
-          check(item.mv_newest.writer);
-          for (const Access& r : item.mv_newest.readers) check(r);
-        }
-        if (!covered) {
-          next.Add(shx.index);
-          next.Add(shi.index);
-          if (num_shards_ <= 64) {
-            uint64_t missing = item.mv_cover & ~want.mask;
-            while (missing != 0) {
-              next.Add(static_cast<uint32_t>(std::countr_zero(missing)));
-              missing &= missing - 1;
-            }
+          // Everything the decision touches - item state, the vectors it
+          // reads, shard(x)'s counters - is under a held mutex, and so is
+          // the liveness of every accessor it reads: clearing it needs
+          // their (held) shards.
+          ++t.n[shard_ops];
+          if (!options_.multiversion) {
+            d = DecideLocked(op, shx, item, si, jr, jw, why, t);
+          } else if (clock.on && op.type == OpType::kRead) {
+            const uint64_t t0 = NowNs();
+            d = DecideMvLocked(op, shx, item, si, why, t);
+            clock.mv_read += NowNs() - t0;
           } else {
-            auto widen = [&](const Access& a) {
-              if (a.txn != kVirtualTxn) next.Add(ShardIndex(a.txn));
-            };
-            for (const MvVersion& v : item.mv_older) {
-              widen(v.writer);
-              for (const Access& r : v.readers) widen(r);
-            }
-            widen(item.mv_newest.writer);
-            for (const Access& r : item.mv_newest.readers) widen(r);
+            d = DecideMvLocked(op, shx, item, si, why, t);
           }
-          continue;
         }
-        ++t.n[cross ? kCrossShardOps : kSingleShardOps];
-        OpDecision d;
-        if (phase_sampled && op.type == OpType::kRead) {
-          const uint64_t t0 = NowNs();
-          d = DecideMvLocked(op, shx, item, si, why, t);
-          mv_read_ns += NowNs() - t0;
-        } else {
-          d = DecideMvLocked(op, shx, item, si, why, t);
-        }
-        decisions[q] = d;
-        if (d == OpDecision::kAccept) ++accepted;
-        decided[q] = 1;
-        --undecided;
-        continue;
       }
-      // Resolve the tops under shard(x); liveness reads are lock-free, so
-      // this works even when the accessors' shards are not (yet) held.
-      const LiveRef jr = TopLiveOf(item.top_reader, item.readers);
-      const LiveRef jw = TopLiveOf(item.top_writer, item.writers);
-      bool covered = all;
-      if (!covered) {
-        covered = (jr.txn == kVirtualTxn || want.Has(ShardIndex(jr.txn))) &&
-                  (jw.txn == kVirtualTxn || want.Has(ShardIndex(jw.txn)));
-      }
-      if (!covered) {
-        // Defer to the next round: its lockset is rebuilt from scratch
-        // around the undecided ops' base pairs plus the tops just
-        // observed, so stale shards from earlier rounds drop out.
-        next.Add(shx.index);
-        next.Add(shi.index);
-        if (jr.txn != kVirtualTxn) next.Add(ShardIndex(jr.txn));
-        if (jw.txn != kVirtualTxn) next.Add(ShardIndex(jw.txn));
-        continue;
-      }
-      // Everything DecideLocked touches - item stacks, the three vectors,
-      // shard(x)'s counters - is under a held mutex. Liveness of jr/jw is
-      // frozen too: clearing it needs their (held) shards.
-      ++t.n[cross ? kCrossShardOps : kSingleShardOps];
-      const OpDecision d = DecideLocked(op, shx, item, si, jr, jw, why, t);
       decisions[q] = d;
       if (d == OpDecision::kAccept) ++accepted;
       decided[q] = 1;
       --undecided;
     }
-    if (phase_sampled) decide_ns += NowNs() - t_decide0;
+    if (clock.on) clock.decide += NowNs() - t_decide0;
+    UnlockShards(want);
+    if (undecided == 0) break;
 
-    if (undecided == 0) {
-      if (all) {
-        for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-          it->mu.unlock();
-        }
-      } else {
-        for (size_t q = want.count; q-- > 0;) {
-          shards_[want.At(q)].mu.unlock();
-        }
-      }
-      break;
-    }
-
-    // Some tops live on shards outside the lockset. all == false here: a
-    // full lock covers every top. Tops can keep shifting under contention,
-    // so after max_lock_retries unstable rounds take every lock.
-    assert(!all);
-    for (size_t q = want.count; q-- > 0;) shards_[want.At(q)].mu.unlock();
+    // Some needed shards were not held. Tops can keep shifting under
+    // contention, so after max_lock_retries unstable rounds take every
+    // lock, which covers any need.
     ++t.n[kLockRetries];
     want = next;
-    if (next.overflow || attempt >= options_.max_lock_retries) {
-      lock_all = true;
+    if (attempt >= options_.max_lock_retries) {
+      want = all_shards_;
       ++t.n[kFullLockFallbacks];
     }
   }
 
   Flush(t);
-  if (phase_sampled) {
-    RecordPhase(TxnPhase::kAdmission, admission_ns, phase_tag);
-    RecordPhase(TxnPhase::kLock, lock_ns, phase_tag);
-    RecordPhase(TxnPhase::kDecide,
-                decide_ns > mv_read_ns ? decide_ns - mv_read_ns : 0,
-                phase_tag);
-    if (options_.multiversion) {
-      RecordPhase(TxnPhase::kMvRead, mv_read_ns, phase_tag);
-    }
-  }
+  if (clock.on) RecordBatchPhases(clock);
   return accepted;
 }
 
@@ -1407,12 +1287,10 @@ TimestampVector ShardedMtkEngine::TsSnapshot(TxnId txn) const {
 
 size_t ShardedMtkEngine::CompactAll() {
   MDTS_TRACE_SPAN("engine.compact");
-  for (Shard& sh : shards_) LockShard(sh);
+  LockShards(all_shards_);
   Tally t;
   const size_t released = CompactAllLocked(t);
-  for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-    it->mu.unlock();
-  }
+  UnlockShards(all_shards_);
   Flush(t);
   return released;
 }
@@ -1543,7 +1421,7 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
         " does not match engine k=" + std::to_string(options_.k));
   }
   MDTS_TRACE_SPAN("engine.recover");
-  for (Shard& sh : shards_) LockShard(sh);
+  LockShards(all_shards_);
   const TsElement n = static_cast<TsElement>(num_shards_);
   size_t applied = 0;
   for (const WalCommitRecord& r : recovery.records) {
@@ -1623,16 +1501,13 @@ size_t ShardedMtkEngine::RecoverFrom(const WalRecovery& recovery) {
       it.top_writer = it.writers.back();
     }
   }
-  for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-    it->mu.unlock();
-  }
+  UnlockShards(all_shards_);
   return applied;
 }
 
 bool ShardedMtkEngine::MvAuditChains() const {
   if (!options_.multiversion) return true;
-  auto* self = const_cast<ShardedMtkEngine*>(this);
-  for (Shard& sh : shards_) self->LockShard(sh);
+  LockShards(all_shards_);
   bool ok = true;
   auto live = [&](const Access& a) {
     if (a.txn == kVirtualTxn) return true;
@@ -1662,9 +1537,7 @@ bool ShardedMtkEngine::MvAuditChains() const {
       }
     }
   }
-  for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
-    it->mu.unlock();
-  }
+  UnlockShards(all_shards_);
   return ok;
 }
 

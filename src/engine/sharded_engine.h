@@ -33,7 +33,9 @@ struct EngineOptions {
   size_t k = 3;
 
   /// Number of shards the items, transaction states, and last-column
-  /// counters are striped across. Clamped to >= 1.
+  /// counters are striped across. Clamped to [1, 64]
+  /// (ShardedMtkEngine::kMaxShards), so a shard set is one 64-bit mask.
+  /// A power of two stripes with a bit mask, any other count with `%`.
   size_t num_shards = 8;
 
   /// Section III-D-4 starvation fix (see MtkOptions::starvation_fix).
@@ -70,7 +72,7 @@ struct EngineOptions {
   /// installs a new version at the newest feasible slot, encoding the
   /// version-order and reader-before-later-writer MVSG edges through the
   /// vectors, or rejects with kVersionConflict. All chain state is mutated
-  /// under the same sorted shard locksets and batched admission as the
+  /// under the same ordered shard locks and batched admission as the
   /// single-version mode; version storage is reclaimed by the live
   /// watermark (see CompactAll). thomas_write_rule, relaxed_read_path, and
   /// disable_old_read_path are single-version knobs and are ignored.
@@ -226,17 +228,19 @@ struct EngineStats {
 /// owning shard's mutex.
 ///
 /// Processing an operation T_i on item x needs x's shard, i's shard, and
-/// the shards of the item's current top reader and writer. Those tops are
-/// only known after looking, so the engine runs an optimistic loop: lock
-/// {shard(x), shard(i)} sorted, peek the tops (liveness is readable without
-/// the owner's lock), and if their shards are already covered - the common
-/// case, and always true with one shard - decide in place. Otherwise
-/// release, widen the lockset, relock in sorted order (the deadlock-free
-/// ordered-locking discipline), and revalidate that the tops are unchanged;
-/// after max_lock_retries unstable rounds it falls back to locking all
-/// shards, which trivially validates. Transaction states live in
-/// chunk-granular arrays published through an atomic directory, so the
-/// lock-free liveness peeks never race with a growing container.
+/// the shards of the item's current top reader and writer (Algorithm 1
+/// lines 5-6) - at most four shards, so a shard set is one 64-bit mask
+/// (num_shards is clamped to [1, 64]) and locks are taken in ascending bit
+/// order, the deadlock-free ordered-locking discipline. The tops are only
+/// known after looking, so the engine runs an optimistic loop: lock
+/// {shard(x), shard(i)}, peek the tops (liveness is readable without the
+/// owner's lock), and if their shards are already held - the common case,
+/// and always true with one shard - decide in place. Otherwise release,
+/// widen the mask, relock, and revalidate that the tops are unchanged;
+/// after max_lock_retries unstable rounds the mask becomes every shard,
+/// which trivially validates. Transaction states live in chunk-granular
+/// arrays published through an atomic directory, so the lock-free
+/// liveness peeks never race with a growing container.
 ///
 /// Aborts are lazy, exactly like MtkScheduler: a rejected transaction's
 /// item accesses stay on the stacks until a later operation pops entries
@@ -265,14 +269,22 @@ class ShardedMtkEngine {
   /// kNone for non-rejected operations). Returns the number of accepted
   /// operations. Thread-safe; `decisions` must hold ops.size() entries.
   ///
-  /// The batch's shard lockset - the union of every operation's item and
-  /// issuer shards - is acquired once per optimistic round in sorted order,
-  /// and every operation whose top accessors are covered by it is decided
-  /// under that one acquisition, amortizing LockShard calls, liveness
-  /// resolution, and counter updates across the batch. Operations left
-  /// uncovered (a top accessor lives on an unlocked shard) are retried on
-  /// the next round under a lockset rebuilt around the tops just observed,
-  /// falling back to locking every shard after max_lock_retries rounds.
+  /// Each optimistic round locks one shard mask - in round one the union
+  /// of every operation's item and issuer shards - and runs the batch
+  /// through named stages:
+  ///   1. ElectChampion (once per call): the livelock guardrail (see
+  ///      EngineOptions::batch_fallback_rounds) may elect a champion;
+  ///   2. ThrottleLocked: with a champion elected, every other
+  ///      transaction's operation is rejected kBatchThrottled;
+  ///   3. NeedLocked: the shards the decision reads - item, issuer, and
+  ///      top reader and writer (single-version) or the chain's coverage
+  ///      mask (multiversion). An operation is covered when
+  ///      (need & ~held) == 0; an uncovered one is deferred and its need
+  ///      is ORed into the next round's mask;
+  ///   4. DecideLocked / DecideMvLocked: Algorithm 1 under the held locks;
+  ///   5. RecordBatchPhases (sampled): admission, lock, decide and mv_read
+  ///      slices into the "engine.phase.*" histograms.
+  /// After max_lock_retries deferring rounds the mask becomes every shard.
   ///
   /// Within a round, operations are decided in array order; an operation
   /// deferred by coverage is decided in a later round, after array-later
@@ -360,6 +372,10 @@ class ShardedMtkEngine {
   size_t num_shards() const { return num_shards_; }
   const EngineOptions& options() const { return options_; }
 
+  /// Upper clamp of EngineOptions::num_shards: one bit per shard in a
+  /// uint64_t lock mask.
+  static constexpr size_t kMaxShards = 64;
+
   /// States per chunk; the unit of storage release.
   static constexpr uint32_t kChunkBits = 10;
   static constexpr uint32_t kChunkSize = 1u << kChunkBits;
@@ -434,13 +450,13 @@ class ShardedMtkEngine {
     bool mv_init = false;
     MvVersion mv_newest;
     std::vector<MvVersion> mv_older;
-    /// Shard-coverage summary of the chain (num_shards <= 64 only): bit
-    /// (txn % num_shards) is set for every writer and reader linked into
-    /// the chain. A superset of the live population - dead accessors'
-    /// bits linger until MvUnlinkDeadLocked recomputes the mask - which
-    /// is sound for batch lockset coverage: a stale bit can only widen
-    /// the lockset, never hide a live accessor's shard. Turns the per-op
-    /// coverage check from a full chain walk into one mask test.
+    /// Shard-coverage summary of the chain: bit ShardIndex(txn) is set
+    /// for every writer and reader linked into the chain. A superset of
+    /// the live population - dead accessors' bits linger until
+    /// MvUnlinkDeadLocked recomputes the mask - which is sound for the
+    /// batch coverage test: a stale bit can only widen the lock mask,
+    /// never hide a live accessor's shard. Turns the per-op coverage
+    /// check from a full chain walk into one mask test.
     uint64_t mv_cover = 0;
     /// mv_dead_epoch_ value at the chain's last dead-unlink; while no
     /// incarnation has died engine-wide since, the chain can hold no
@@ -546,6 +562,8 @@ class ShardedMtkEngine {
   }
   Shard& ShardForTxn(TxnId txn) const { return shards_[ShardIndex(txn)]; }
   Shard& ShardForItem(ItemId item) const { return shards_[ShardIndex(item)]; }
+  /// Lock-mask bit of the shard owning an item or transaction id.
+  uint64_t MaskOf(uint64_t x) const { return uint64_t{1} << ShardIndex(x); }
 
   /// Lock-free state lookup for liveness peeks; null only for ids never
   /// created (which a stack entry can never reference).
@@ -641,12 +659,58 @@ class ShardedMtkEngine {
 
   /// Acquires sh.mu, counting the acquisition as contended (registry
   /// counter, trace instant) when try_lock fails first.
-  void LockShard(Shard& sh);
+  void LockShard(Shard& sh) const;
+  /// Locks every shard of `mask` in ascending index order (the global
+  /// lock order) / unlocks them.
+  void LockShards(uint64_t mask) const;
+  void UnlockShards(uint64_t mask) const;
+
+  /// Sampled phase attribution of one ProcessBatch call: nanoseconds per
+  /// slice and the transaction id the histogram exemplars carry.
+  /// Unsampled batches leave `on` false and read no clock.
+  struct BatchClock {
+    bool on = false;
+    TxnId tag = kVirtualTxn;
+    uint64_t entry = 0;
+    uint64_t admission = 0;
+    uint64_t lock = 0;
+    uint64_t decide = 0;
+    uint64_t mv_read = 0;
+  };
+
+  /// ProcessBatch stage 1, the livelock guardrail's champion election:
+  /// returns the champion every other operation of this batch is
+  /// throttled behind (kVirtualTxn when no fallback is active) and, in
+  /// `*fallback_round`, the fallback-batch count for the explain record.
+  TxnId ElectChampion(std::span<const Op> ops, uint64_t* fallback_round);
+
+  /// ProcessBatch stage 2: rejects a non-champion operation with
+  /// kBatchThrottled (kStaleTxn when its incarnation is already over),
+  /// resetting TS(i) without starvation seeding so the throttled
+  /// transaction cannot rejoin ahead of the champion. Requires shx.mu and
+  /// shard(op.txn).mu.
+  OpDecision ThrottleLocked(const Op& op, Shard& shx, TxnState& si,
+                            TxnId champion, uint64_t fallback_round,
+                            AbortReason* why, Tally& t);
+
+  /// ProcessBatch stage 3: the shard mask the decision reads. Single
+  /// version: item, issuer, and the live top reader and writer (resolved
+  /// into *jr / *jw, popping dead entries). Multiversion: item, issuer,
+  /// and the chain's mv_cover after the dead-unlink walk. Requires
+  /// shard(op.item).mu; liveness reads are lock-free.
+  uint64_t NeedLocked(const Op& op, ItemState& item, LiveRef* jr,
+                      LiveRef* jw, Tally& t);
+
+  /// ProcessBatch stage 5: records a sampled batch's phase slices.
+  void RecordBatchPhases(const BatchClock& c);
 
   size_t CompactAllLocked(Tally& t);
 
   EngineOptions options_;
-  size_t num_shards_;
+  size_t num_shards_;  // In [1, kMaxShards].
+  /// Lock mask of every shard: the full-lock fallback and the
+  /// stop-the-world sweeps.
+  uint64_t all_shards_ = 0;
   /// num_shards_ - 1 when num_shards_ is a power of two, else 0 (sentinel:
   /// fall back to the division). See ShardIndex().
   uint64_t shard_idx_mask_ = 0;

@@ -467,7 +467,17 @@ WalRecovery ParallelWal::Recover(const std::string& dir, bool truncate_torn) {
     uint32_t k = 0;
     uint32_t stream_id = 0;
     if (!DecodeStreamHeader(bytes.data(), bytes.size(), &k, &stream_id)) {
-      // Header never made it to disk intact; the whole file is a torn tail.
+      if (bytes.size() >= kStreamHeaderBytes) {
+        // A crash image is a prefix of what was written, so a complete
+        // header that does not decode was damaged, not torn: keep every
+        // byte and fail the recovery rather than drop the stream's
+        // acknowledged records.
+        info.corrupt = true;
+        if (out.error.empty()) out.error = path + ": damaged stream header";
+        out.streams.push_back(std::move(info));
+        continue;
+      }
+      // The header never made it to disk whole; the file is a torn tail.
       info.torn = true;
       info.valid_bytes = 0;
       ++out.torn_streams;

@@ -128,7 +128,8 @@ struct WalStreamRecovery {
   /// A frame at valid_bytes fails to decode but a CRC-valid frame follows
   /// it: mid-log corruption, not a torn tail. Nothing is truncated, and
   /// the recovery as a whole is not ok (the records after the bad frame
-  /// may be acknowledged commits).
+  /// may be acknowledged commits). Also set, with valid_bytes 0, for a
+  /// whole stream header that does not decode.
   bool corrupt = false;
 };
 
@@ -272,6 +273,9 @@ class ParallelWal {
   /// order. A stream's tail is torn when no CRC-valid frame starts anywhere
   /// after its first undecodable frame; when one does, the stream is
   /// corrupt mid-log (WalStreamRecovery::corrupt) and is left untouched.
+  /// A stream of at least kStreamHeaderBytes whose header does not decode
+  /// is corrupt too (crash images are prefixes, so a whole header cannot
+  /// be torn); a shorter file is a torn header and is emptied.
   /// ok == false for unusable input (no streams, k mismatch across
   /// streams, a corrupt stream); torn tails and empty streams are normal
   /// outcomes. A damaged final frame cannot be told from a torn one and is

@@ -172,6 +172,82 @@ TEST(EngineBatchConcurrencyTest, MixedBatchPerOpAndCompactionTraffic) {
   ExpectCountsMatchTally(total, engine, reg);
 }
 
+// The widest shard mask: 64 shards, where the all-shards mask of the
+// full-lock fallback is ~0 (a shift by 64 would be undefined, and a mask
+// of 0 would lock nothing and never cover an operation). Uniform items
+// over 128 put items 63 and 127 on shard 63, and the transaction ids
+// 1 + t + 4n cover every shard, shard 63 included. With no optimistic
+// retries every deferred operation is decided under the full lock.
+TEST(EngineBatchConcurrencyTest, SixtyFourShardsFullLockFallback) {
+  constexpr size_t kThreads = 4;
+  constexpr uint32_t kTxnsPerThread = 200;
+  constexpr ItemId kItems = 128;
+
+  MetricsRegistry reg;
+  EngineOptions eo;
+  eo.k = 3;
+  eo.num_shards = 64;
+  eo.starvation_fix = true;
+  eo.max_lock_retries = 0;
+  eo.compact_every = 256;
+  eo.metrics = &reg;
+  ShardedMtkEngine engine(eo);
+  ASSERT_EQ(engine.num_shards(), 64u);
+
+  std::atomic<uint64_t> committed{0};
+  std::vector<EngineTally> tallies(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      committed += BatchWorker(engine, t, kThreads, /*width=*/4,
+                               kTxnsPerThread, kItems, /*ops_per_txn=*/4,
+                               6400 + t, &tallies[t]);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_GE(committed.load(), kThreads * kTxnsPerThread);
+  const EngineStats st = engine.stats();
+  EXPECT_GT(st.full_lock_fallbacks, 0u);
+  EXPECT_EQ(st.full_lock_fallbacks, st.lock_retries);
+  EXPECT_GT(st.cross_shard_ops, 0u);
+  EngineTally total;
+  for (const EngineTally& tally : tallies) total += tally;
+  ExpectCountsMatchTally(total, engine, reg);
+}
+
+// num_shards is clamped to [1, 64]: one bit per shard in a lock mask.
+TEST(EngineBatchTest, ShardCountClampedToMaskWidth) {
+  EngineOptions eo;
+  eo.num_shards = 0;
+  ShardedMtkEngine narrow(eo);
+  EXPECT_EQ(narrow.num_shards(), 1u);
+  eo.num_shards = 100;
+  eo.max_lock_retries = 0;
+  ShardedMtkEngine wide(eo);
+  EXPECT_EQ(wide.num_shards(), 64u);
+  EXPECT_EQ(wide.options().num_shards, 64u);
+
+  // The clamped engine decides on every shard, shard 63 included: T63
+  // writes items 0..127 under one 64-shard mask.
+  std::vector<Op> ops;
+  for (ItemId x = 0; x < 128; ++x) ops.push_back({63, OpType::kWrite, x});
+  std::vector<OpDecision> dec(ops.size());
+  EXPECT_EQ(wide.ProcessBatch(ops, dec.data()), ops.size());
+  wide.CommitTxn(63);
+  EXPECT_EQ(wide.stats().cross_shard_ops, ops.size());
+  EXPECT_EQ(wide.stats().lock_retries, 0u);
+
+  // T1 writing item 0 first holds {shard 0, shard 1}, finds its top
+  // writer T63 on shard 63, and with no optimistic retries is decided
+  // under the all-shards mask.
+  EXPECT_EQ(wide.Process({1, OpType::kWrite, 0}), OpDecision::kAccept);
+  const EngineStats st = wide.stats();
+  EXPECT_EQ(st.lock_retries, 1u);
+  EXPECT_EQ(st.full_lock_fallbacks, 1u);
+  EXPECT_EQ(st.cross_shard_ops, ops.size() + 1);
+}
+
 TEST(EngineBatchConcurrencyTest, ConcurrentBatchesOnDisjointPartitions) {
   constexpr size_t kThreads = 4;
   EngineOptions eo;

@@ -558,6 +558,48 @@ TEST(EngineMvConcurrencyTest, ChainAndGcRaces) {
   EXPECT_GT(read_accepts.load(), 0u);
 }
 
+// Multiversion at the widest shard mask (see the single-version twin in
+// engine_batch_test): 64 shards, items and transaction ids striped over
+// every shard including 63, and no optimistic retries, so each chain whose
+// coverage mask reaches past the held shards is decided under the
+// all-shards mask ~0.
+TEST(EngineMvConcurrencyTest, SixtyFourShardsFullLockFallback) {
+  constexpr size_t kWorkers = 4;
+
+  MetricsRegistry reg;
+  EngineOptions eo;
+  eo.k = 3;
+  eo.num_shards = 64;
+  eo.multiversion = true;
+  eo.starvation_fix = true;
+  eo.max_lock_retries = 0;
+  eo.compact_every = 128;
+  eo.metrics = &reg;
+  ShardedMtkEngine engine(eo);
+  ASSERT_EQ(engine.num_shards(), 64u);
+
+  std::atomic<uint64_t> read_accepts{0};
+  std::vector<EngineTally> tallies(kWorkers);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kWorkers; ++t) {
+    threads.emplace_back([&, t] {
+      MvWorker(engine, t, kWorkers, 200, /*items=*/128, 4,
+               0xA0761D6478BD642Full * (t + 1), &read_accepts, &tallies[t]);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  const EngineStats st = engine.stats();
+  EXPECT_GT(st.full_lock_fallbacks, 0u);
+  EXPECT_EQ(st.full_lock_fallbacks, st.lock_retries);
+  EXPECT_GT(read_accepts.load(), 0u);
+  EXPECT_TRUE(engine.MvAuditChains());
+  EngineTally total;
+  for (const EngineTally& tally : tallies) total += tally;
+  ExpectCountsMatchTally(total, engine, reg);
+  EXPECT_EQ(st.live_versions, st.versions_installed - st.versions_gc);
+}
+
 TEST(EngineMvConcurrencyTest, ReadsDoNotAbortAcrossThreads) {
   constexpr size_t kWorkers = 3;
   EngineOptions eo;

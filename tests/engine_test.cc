@@ -470,7 +470,7 @@ TEST(ShardedEngineTest, ManyShardsHotItemsKeepLocksetBounded) {
   constexpr ItemId kItems = 8;  // Very hot: tops churn constantly.
   EngineOptions eo;
   eo.k = 3;
-  eo.num_shards = 32;  // Far more shards than the lockset can hold.
+  eo.num_shards = 32;  // Far more shards than one op ever needs (<= 4).
   eo.starvation_fix = true;
   eo.max_lock_retries = 4;  // Exercise the full-lock fallback too.
   ShardedMtkEngine engine(eo);

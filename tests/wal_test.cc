@@ -526,6 +526,37 @@ TEST(WalRecoverFuzzTest, LengthFieldDamageIsCorruptionUnlessInTheLastFrame) {
   fs::remove_all(dir);
 }
 
+// A crash image is a prefix of what was written, so a stream long enough
+// to hold its whole header cannot have a torn header: a header that does
+// not decode is damage, and the stream's records must not be dropped.
+TEST(WalRecoverFuzzTest, DamagedStreamHeaderIsCorruptionNotATornFile) {
+  const std::string dir = FreshDir("fuzz_header");
+  std::vector<size_t> starts;
+  std::vector<uint8_t> bad = CleanStream(dir, 5, &starts);
+  ASSERT_EQ(starts.size(), 6u);
+  bad[2] = 0;  // Inside the magic.
+  WriteStream(dir, bad);
+  const WalRecovery rec = ParallelWal::Recover(dir);
+  EXPECT_FALSE(rec.ok);
+  EXPECT_FALSE(rec.error.empty());
+  ASSERT_EQ(rec.streams.size(), 1u);
+  EXPECT_TRUE(rec.streams[0].corrupt);
+  EXPECT_FALSE(rec.streams[0].torn);
+  EXPECT_EQ(rec.torn_streams, 0u);
+  EXPECT_EQ(fs::file_size(fs::path(dir) / "wal-0.log"), bad.size());
+
+  // Shorter than a header, the file is a torn header and is emptied.
+  bad.resize(wal_internal::kStreamHeaderBytes - 1);
+  WriteStream(dir, bad);
+  const WalRecovery short_rec = ParallelWal::Recover(dir);
+  EXPECT_TRUE(short_rec.ok) << short_rec.error;
+  ASSERT_EQ(short_rec.streams.size(), 1u);
+  EXPECT_TRUE(short_rec.streams[0].torn);
+  EXPECT_FALSE(short_rec.streams[0].corrupt);
+  EXPECT_EQ(fs::file_size(fs::path(dir) / "wal-0.log"), 0u);
+  fs::remove_all(dir);
+}
+
 TEST(WalRecoverFuzzTest, CorruptStreamFailsRecoveryWithoutTouchingPeers) {
   const std::string dir = FreshDir("fuzz_peers");
   WalOptions wo;
