@@ -52,6 +52,21 @@ std::string JsonNum(double v) {
   return buf;
 }
 
+bool WriteTextFile(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+    return false;
+  }
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  const bool closed = std::fclose(f) == 0;
+  if (!written || !closed) {
+    std::fprintf(stderr, "short write to %s\n", path.c_str());
+  }
+  return written && closed;
+}
+
 bool UpsertBenchRecord(const std::string& path, const std::string& bench,
                        const BenchFields& fields) {
   // Collect the existing records, dropping any previous one for `bench`.
@@ -78,17 +93,13 @@ bool UpsertBenchRecord(const std::string& path, const std::string& bench,
   rec << '}';
   records.push_back(rec.str());
 
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "bench_json: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << "[\n";
+  std::string out = "[\n";
   for (size_t i = 0; i < records.size(); ++i) {
-    out << records[i] << (i + 1 < records.size() ? ",\n" : "\n");
+    out += records[i];
+    out += i + 1 < records.size() ? ",\n" : "\n";
   }
-  out << "]\n";
-  return out.good();
+  out += "]\n";
+  return WriteTextFile(path, out);
 }
 
 }  // namespace mdts

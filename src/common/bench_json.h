@@ -20,6 +20,11 @@ std::string JsonStr(const std::string& s);
 /// NaN and infinities, which JSON lacks, are emitted as null.
 std::string JsonNum(double v);
 
+/// Writes `text` to `path`, replacing the file. Returns false, after
+/// printing the path and the failure (cannot open, short write) to stderr,
+/// when the file cannot be written in full.
+bool WriteTextFile(const std::string& path, const std::string& text);
+
 /// Inserts or replaces the record whose "bench" field equals `bench` in the
 /// JSON-array results file at `path`, creating the file if needed. The file
 /// layout is one record per line inside a top-level array, so diffs stay

@@ -991,7 +991,7 @@ void DmtSim::HandleAbort(TxnId txn, AbortReason reason) {
     const uint32_t site = VectorSite(txn);
     options_.flight->RecordAbort(site, txn, reason, /*blocker=*/0,
                                  /*op=*/nullptr,
-                                 site < 32 ? (1u << site) : 0, &Ts(txn),
+                                 FlightRecorder::ShardBit(site), &Ts(txn),
                                  SimUs());
   }
   ++rt.attempts;
@@ -1140,7 +1140,7 @@ DmtResult DmtSim::Run() {
           if (options_.flight != nullptr) {
             const uint32_t site = VectorSite(ev.txn);
             options_.flight->RecordCommit(site, ev.txn, Ts(ev.txn),
-                                          site < 32 ? (1u << site) : 0, {},
+                                          FlightRecorder::ShardBit(site), {},
                                           /*phase_us=*/nullptr, SimUs());
           }
           if (tracing_) {

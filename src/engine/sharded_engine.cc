@@ -22,6 +22,9 @@ uint64_t NowNs() {
                       .count());
 }
 
+/// The flight record's shard_mask bit for a shard.
+constexpr auto ShardBit = FlightRecorder::ShardBit;
+
 /// The batch's first operation issued by a real transaction (kVirtualTxn
 /// when there is none): the guardrail's champion candidate and the phase
 /// exemplar tag.

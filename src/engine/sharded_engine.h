@@ -646,12 +646,6 @@ class ShardedMtkEngine {
            (seq.fetch_add(1, std::memory_order_relaxed) & phase_mask_) == 0;
   }
 
-  /// Shard-coverage bit for the flight record's shard_mask (shards >= 32
-  /// are not representable and fold to no bit).
-  static uint32_t ShardBit(size_t shard) {
-    return shard < 32 ? (1u << shard) : 0;
-  }
-
   /// Overwrites shx.last_reject with a fresh-ticketed record; requires
   /// shx.mu (every reject path already holds the item shard's mutex).
   void NoteRejectLocked(Shard& shx, AbortReason reason, const Op& op,

@@ -4,13 +4,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/timestamp_vector.h"
 #include "core/types.h"
+#include "obs/seqlock_ring.h"
 
 namespace mdts {
 
@@ -78,15 +78,16 @@ struct SpanRingOptions {
   size_t capacity = 256;
 };
 
-/// Per-site ring of the last N closed distributed spans, modeled on
-/// FlightRecorder: fixed-size seqlock slots written with relaxed stores
-/// between an invalidate (stamp 0) and a release stamp, so recording never
-/// blocks and a concurrent drain (the exporter scraping mid-run) detects
-/// and skips torn slots. Exact once the writer is quiescent - the state at
-/// every end-of-run dump. Record assumes a SINGLE writer (the
-/// single-threaded simulation): tickets and lifetime totals use plain
-/// load+store instead of locked RMWs, which concurrent drains read safely
-/// but concurrent writers would race on.
+/// Per-site ring of the last N closed distributed spans: an encoder and
+/// decoder over a SeqlockRing (see obs/seqlock_ring.h), so recording never
+/// blocks, a concurrent drain (the exporter scraping mid-run) never
+/// returns a torn span, and the drain is exact once the writer is
+/// quiescent - the state at every end-of-run dump. A writer that laps
+/// another still in its slot drops its span and counts it ("dropped" in
+/// the dump totals). The lifetime totals assume a SINGLE writer (the
+/// single-threaded simulation): they use plain load+store instead of
+/// locked RMWs, which concurrent drains read safely but concurrent
+/// writers would race on.
 class SpanRing {
  public:
   explicit SpanRing(const SpanRingOptions& options);
@@ -111,30 +112,18 @@ class SpanRing {
   uint64_t aborted() const { return aborted_.load(std::memory_order_relaxed); }
   uint64_t hops() const { return hops_.load(std::memory_order_relaxed); }
 
-  size_t rings() const { return ring_mask_ + 1; }
-  size_t capacity() const { return mask_ + 1; }
+  /// Spans lost to a lapped writer still in their slot (SeqlockRing).
+  uint64_t dropped() const { return ring_.dropped(); }
+
+  size_t rings() const { return ring_.rings(); }
+  size_t capacity() const { return ring_.capacity(); }
 
  private:
-  // Payload word layout (all relaxed atomics):
+  // Payload word layout:
   //   w0 id, w1 parent, w2 start_us, w3 end_us,
   //   w4 txn | site<<32 | incarnation<<48,
   //   w5 segment | flags<<8 | defined<<16 (flags: 1 hop, 2 aborted).
-  static constexpr size_t kPayloadWords = 6;
-
-  struct Slot {
-    /// 0 = never written / being rewritten; ticket + 1 once complete.
-    std::atomic<uint64_t> stamp{0};
-    std::atomic<uint64_t> w[kPayloadWords] = {};
-  };
-
-  struct alignas(64) Ring {
-    std::atomic<uint64_t> head{0};  ///< Next ticket; slot = ticket & mask.
-    std::unique_ptr<Slot[]> slots;
-  };
-
-  uint64_t mask_;       ///< capacity - 1 (power of two).
-  uint64_t ring_mask_;  ///< ring count - 1 (power of two).
-  std::unique_ptr<Ring[]> rings_;
+  SeqlockRing<6> ring_;
   std::atomic<uint64_t> recorded_{0};
   std::atomic<uint64_t> aborted_{0};
   std::atomic<uint64_t> hops_{0};

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <ctime>
 #include <string>
+
+#include "common/bench_json.h"
 
 namespace mdts {
 
@@ -95,26 +96,10 @@ std::string ControlEvent::ToJson() const {
   return out;
 }
 
-namespace {
-
-uint64_t RoundUpPow2(uint64_t v) {
-  if (v < 2) return 2;
-  return std::bit_ceil(v);
-}
-
-}  // namespace
-
 FlightRecorder::FlightRecorder(const FlightRecorderOptions& options)
-    : options_(options),
-      mask_(RoundUpPow2(options.capacity == 0 ? 1 : options.capacity) - 1),
-      ring_mask_(std::bit_ceil(options.rings < 1 ? size_t{1} : options.rings) -
-                 1) {
-  options_.rings = ring_mask_ + 1;
-  options_.capacity = mask_ + 1;
-  rings_ = std::make_unique<Ring[]>(ring_mask_ + 1);
-  for (size_t r = 0; r <= ring_mask_; ++r) {
-    rings_[r].slots = std::make_unique<Slot[]>(mask_ + 1);
-  }
+    : options_(options), ring_(options.rings, options.capacity) {
+  options_.rings = ring_.rings();
+  options_.capacity = ring_.capacity();
 }
 
 void FlightRecorder::Record(size_t ring, TxnId txn, bool commit,
@@ -124,14 +109,6 @@ void FlightRecorder::Record(size_t ring, TxnId txn, bool commit,
                             std::span<const ItemId> writes,
                             const uint32_t* phase_us,
                             const TimestampVector* vec, uint64_t time_us) {
-  Ring& r = rings_[ring & ring_mask_];
-  const uint64_t ticket = r.head.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = r.slots[ticket & mask_];
-  // Invalidate first so a concurrent drain caught mid-copy sees the stamp
-  // move and drops the slot instead of mixing two records.
-  s.stamp.store(0, std::memory_order_release);
-  const uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-
   const size_t k = vec != nullptr ? vec->size() : 0;
   const size_t k_rec = std::min(k, kMaxVecElements);
   const size_t nw = std::min(writes.size(), kMaxWrites);
@@ -141,57 +118,45 @@ void FlightRecorder::Record(size_t ring, TxnId txn, bool commit,
   if (sampled) flags |= 4;
   if (op != nullptr && op->type == OpType::kWrite) flags |= 8;
 
-  auto put = [&](size_t idx, uint64_t v) {
-    s.w[idx].store(v, std::memory_order_relaxed);
-  };
-  put(0, seq);
-  put(1, time_us);
-  put(2, static_cast<uint64_t>(txn) | (flags << 32) |
-             (static_cast<uint64_t>(reason) << 40) |
-             (static_cast<uint64_t>(k_rec) << 48) |
-             (static_cast<uint64_t>(nw) << 56));
-  put(3, static_cast<uint64_t>(blocker) |
-             (static_cast<uint64_t>(op != nullptr ? op->item : 0) << 32));
-  put(4, static_cast<uint64_t>(shard_mask) |
-             (static_cast<uint64_t>(writes_total) << 32));
-  // Dead words are not stored: Drain() decodes phase words only when the
-  // sampled flag is set, write words only up to nw, and vector words only
-  // up to k_rec, so whatever a slot's previous occupant left there is
-  // unreachable. A typical record (k <= 4, unsampled) then touches two
-  // cache lines instead of three - on a cycling ring every line is cold,
-  // so the skipped stores are the record's main cost.
-  if (phase_us != nullptr) {
-    for (size_t w = 0; w < kPhaseWords; ++w) {
-      const size_t p = w * 2;
-      uint64_t v = phase_us[p];
-      if (p + 1 < kNumTxnPhases) {
-        v |= static_cast<uint64_t>(phase_us[p + 1]) << 32;
+  // Three lines: most of a 160-byte slot.
+  ring_.Record(ring, 3, [&](auto put) {
+    put(0, seq_.fetch_add(1, std::memory_order_relaxed) + 1);
+    put(1, time_us);
+    put(2, static_cast<uint64_t>(txn) | (flags << 32) |
+               (static_cast<uint64_t>(reason) << 40) |
+               (static_cast<uint64_t>(k_rec) << 48) |
+               (static_cast<uint64_t>(nw) << 56));
+    put(3, static_cast<uint64_t>(blocker) |
+               (static_cast<uint64_t>(op != nullptr ? op->item : 0) << 32));
+    put(4, static_cast<uint64_t>(shard_mask) |
+               (static_cast<uint64_t>(writes_total) << 32));
+    // Dead words are not stored: Drain() decodes phase words only when the
+    // sampled flag is set, write words only up to nw, and vector words only
+    // up to k_rec, so whatever a slot's previous occupant left there is
+    // unreachable. A typical record (k <= 4, unsampled) then touches two
+    // cache lines instead of three - on a cycling ring every line is cold,
+    // so the skipped stores are the record's main cost.
+    if (phase_us != nullptr) {
+      for (size_t w = 0; w < kPhaseWords; ++w) {
+        const size_t q = w * 2;
+        uint64_t v = phase_us[q];
+        if (q + 1 < kNumTxnPhases) {
+          v |= static_cast<uint64_t>(phase_us[q + 1]) << 32;
+        }
+        put(kHeaderWords + w, v);
       }
-      put(kHeaderWords + w, v);
     }
-  }
-  for (size_t w = 0; w * 2 < nw; ++w) {
-    const size_t q = w * 2;
-    uint64_t v = writes[q];
-    if (q + 1 < nw) v |= static_cast<uint64_t>(writes[q + 1]) << 32;
-    put(kHeaderWords + kPhaseWords + w, v);
-  }
-  for (size_t m = 0; m < k_rec; ++m) {
-    put(kHeaderWords + kPhaseWords + kWriteWords + m,
-        std::bit_cast<uint64_t>(static_cast<int64_t>(vec->Get(m))));
-  }
-  s.stamp.store(ticket + 1, std::memory_order_release);
-  // Warm this ring's NEXT slot before leaving. The stores above hit cold
-  // lines (a cycling ring evicts faster than it revisits); they sit in the
-  // store buffer until the RFOs complete, and the caller's next locked RMW
-  // - commit-point unlock, shard lock, metrics counter - drains the buffer
-  // and eats that latency. Prefetching here gives the lines a full
-  // inter-record gap (microseconds) to arrive, where a hint at commit
-  // entry only leads the stores by tens of nanoseconds.
-  const char* next = reinterpret_cast<const char*>(&r.slots[(ticket + 1) & mask_]);
-  __builtin_prefetch(next, 1, 0);
-  __builtin_prefetch(next + 64, 1, 0);
-  __builtin_prefetch(next + 128, 1, 0);
+    for (size_t w = 0; w * 2 < nw; ++w) {
+      const size_t q = w * 2;
+      uint64_t v = writes[q];
+      if (q + 1 < nw) v |= static_cast<uint64_t>(writes[q + 1]) << 32;
+      put(kHeaderWords + kPhaseWords + w, v);
+    }
+    for (size_t m = 0; m < k_rec; ++m) {
+      put(kHeaderWords + kPhaseWords + kWriteWords + m,
+            std::bit_cast<uint64_t>(static_cast<int64_t>(vec->Get(m))));
+    }
+  });
 }
 
 void FlightRecorder::RecordCommit(size_t ring, TxnId txn,
@@ -239,7 +204,7 @@ void FlightRecorder::RecordControl(std::string action, uint32_t batch_size,
   ev.k = k;
   std::lock_guard<std::mutex> g(control_mu_);
   control_.push_back(std::move(ev));
-  if (control_.size() > mask_ + 1) control_.pop_front();
+  if (control_.size() > capacity()) control_.pop_front();
 }
 
 std::vector<ControlEvent> FlightRecorder::ControlEvents() const {
@@ -249,63 +214,48 @@ std::vector<ControlEvent> FlightRecorder::ControlEvents() const {
 
 std::vector<FlightRecord> FlightRecorder::Drain() const {
   std::vector<FlightRecord> out;
-  uint64_t words[kPayloadWords];
-  for (size_t ri = 0; ri <= ring_mask_; ++ri) {
-    const Ring& r = rings_[ri];
-    for (uint64_t sl = 0; sl <= mask_; ++sl) {
-      const Slot& s = r.slots[sl];
-      const uint64_t s1 = s.stamp.load(std::memory_order_acquire);
-      if (s1 == 0) continue;
-      for (size_t w = 0; w < kPayloadWords; ++w) {
-        words[w] = s.w[w].load(std::memory_order_relaxed);
-      }
-      if (s.stamp.load(std::memory_order_acquire) != s1) continue;  // Torn.
-      FlightRecord rec;
-      rec.seq = words[0];
-      rec.time_us = words[1];
-      rec.ring = static_cast<uint32_t>(ri);
-      rec.txn = static_cast<TxnId>(words[2] & 0xFFFFFFFFu);
-      const uint64_t flags = (words[2] >> 32) & 0xFF;
-      rec.commit = (flags & 1) != 0;
-      rec.has_op = (flags & 2) != 0;
-      rec.phases_sampled = (flags & 4) != 0;
-      rec.reason = static_cast<AbortReason>((words[2] >> 40) & 0xFF);
-      const size_t k_rec = (words[2] >> 48) & 0xFF;
-      const size_t nw = (words[2] >> 56) & 0xFF;
-      rec.blocker = static_cast<TxnId>(words[3] & 0xFFFFFFFFu);
-      if (rec.has_op) {
-        rec.op.txn = rec.txn;
-        rec.op.type = (flags & 8) != 0 ? OpType::kWrite : OpType::kRead;
-        rec.op.item = static_cast<ItemId>(words[3] >> 32);
-      }
-      rec.shard_mask = static_cast<uint32_t>(words[4] & 0xFFFFFFFFu);
-      rec.writes_total = static_cast<uint32_t>(words[4] >> 32);
-      if (rec.phases_sampled) {
-        // Unsampled records skip the phase stores (see Record), so the
-        // words may hold a previous occupant's slices - leave the zeros.
-        for (size_t p = 0; p < kNumTxnPhases; ++p) {
-          const uint64_t v = words[kHeaderWords + p / 2];
-          rec.phase_us[p] =
-              static_cast<uint32_t>(p % 2 == 0 ? v & 0xFFFFFFFFu : v >> 32);
-        }
-      }
-      for (size_t q = 0; q < nw; ++q) {
-        const uint64_t v = words[kHeaderWords + kPhaseWords + q / 2];
-        rec.writes.push_back(
-            static_cast<ItemId>(q % 2 == 0 ? v & 0xFFFFFFFFu : v >> 32));
-      }
-      rec.k = k_rec;  // The recorded vector's size (cells may differ in k).
-      for (size_t m = 0; m < k_rec; ++m) {
-        rec.vec.push_back(static_cast<TsElement>(std::bit_cast<int64_t>(
-            words[kHeaderWords + kPhaseWords + kWriteWords + m])));
-      }
-      out.push_back(std::move(rec));
+  for (const auto& [ring, words] : ring_.Drain()) {
+    FlightRecord rec;
+    rec.seq = words[0];
+    rec.time_us = words[1];
+    rec.ring = ring;
+    rec.txn = static_cast<TxnId>(words[2] & 0xFFFFFFFFu);
+    const uint64_t flags = (words[2] >> 32) & 0xFF;
+    rec.commit = (flags & 1) != 0;
+    rec.has_op = (flags & 2) != 0;
+    rec.phases_sampled = (flags & 4) != 0;
+    rec.reason = static_cast<AbortReason>((words[2] >> 40) & 0xFF);
+    const size_t k_rec = (words[2] >> 48) & 0xFF;
+    const size_t nw = (words[2] >> 56) & 0xFF;
+    rec.blocker = static_cast<TxnId>(words[3] & 0xFFFFFFFFu);
+    if (rec.has_op) {
+      rec.op.txn = rec.txn;
+      rec.op.type = (flags & 8) != 0 ? OpType::kWrite : OpType::kRead;
+      rec.op.item = static_cast<ItemId>(words[3] >> 32);
     }
+    rec.shard_mask = static_cast<uint32_t>(words[4] & 0xFFFFFFFFu);
+    rec.writes_total = static_cast<uint32_t>(words[4] >> 32);
+    if (rec.phases_sampled) {
+      // Unsampled records skip the phase stores (see Record), so the
+      // words may hold a previous occupant's slices - leave the zeros.
+      for (size_t p = 0; p < kNumTxnPhases; ++p) {
+        const uint64_t v = words[kHeaderWords + p / 2];
+        rec.phase_us[p] =
+            static_cast<uint32_t>(p % 2 == 0 ? v & 0xFFFFFFFFu : v >> 32);
+      }
+    }
+    for (size_t q = 0; q < nw; ++q) {
+      const uint64_t v = words[kHeaderWords + kPhaseWords + q / 2];
+      rec.writes.push_back(
+          static_cast<ItemId>(q % 2 == 0 ? v & 0xFFFFFFFFu : v >> 32));
+    }
+    rec.k = k_rec;  // The recorded vector's size (cells may differ in k).
+    for (size_t m = 0; m < k_rec; ++m) {
+      rec.vec.push_back(static_cast<TsElement>(std::bit_cast<int64_t>(
+          words[kHeaderWords + kPhaseWords + kWriteWords + m])));
+    }
+    out.push_back(std::move(rec));
   }
-  std::sort(out.begin(), out.end(),
-            [](const FlightRecord& a, const FlightRecord& b) {
-              return a.seq < b.seq;
-            });
   return out;
 }
 
@@ -327,12 +277,13 @@ AbortReasonCounts FlightRecorder::abort_reasons() const {
 
 std::string FlightRecorder::ToJson() const {
   const std::vector<FlightRecord> records = Drain();
-  std::string out = "{\"meta\": {\"rings\": " + std::to_string(ring_mask_ + 1);
-  out += ", \"capacity\": " + std::to_string(mask_ + 1);
+  std::string out = "{\"meta\": {\"rings\": " + std::to_string(rings());
+  out += ", \"capacity\": " + std::to_string(capacity());
   out += ", \"k\": " + std::to_string(options_.k) + "}";
   out += ", \"totals\": {\"commits\": " + std::to_string(commits());
   out += ", \"aborts\": " + std::to_string(aborts());
-  out += ", \"abort_reasons\": " + abort_reasons().ToJson() + "}";
+  out += ", \"abort_reasons\": " + abort_reasons().ToJson();
+  out += ", \"dropped\": " + std::to_string(dropped()) + "}";
   out += ", \"records\": [";
   for (size_t q = 0; q < records.size(); ++q) {
     if (q != 0) out += ", ";
@@ -355,16 +306,7 @@ std::string FlightRecorder::ToJson() const {
 }
 
 bool FlightRecorder::DumpToFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "flight: cannot open %s\n", path.c_str());
-    return false;
-  }
-  const std::string json = ToJson();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  if (!ok) std::fprintf(stderr, "flight: short write to %s\n", path.c_str());
-  return ok;
+  return WriteTextFile(path, ToJson());
 }
 
 }  // namespace mdts

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -14,6 +13,7 @@
 #include "core/timestamp_vector.h"
 #include "core/types.h"
 #include "obs/abort_reason.h"
+#include "obs/seqlock_ring.h"
 
 namespace mdts {
 
@@ -107,11 +107,14 @@ struct FlightRecorderOptions {
 /// on alert raise, the WAL crash hook before a planned _Exit, and the
 /// HttpExporter's /flight.json endpoint.
 ///
-/// Concurrency contract: recording is wait-free and never blocks or loses
-/// newer records (a ring overwrites its oldest entry). Drain/ToJson are
-/// best-effort under concurrent writers - a slot overwritten mid-copy is
-/// detected by its sequence stamp and skipped - and exact once writers are
-/// quiescent, which is the state at every dump trigger above.
+/// Concurrency contract: the records live in a SeqlockRing (see
+/// obs/seqlock_ring.h). Recording is wait-free and never blocks; a ring
+/// overwrites its oldest entry, and a writer that laps another still in
+/// its slot drops its record and counts it (dropped(), "dropped" in the
+/// dump totals). Drain/ToJson never return a torn record; they are
+/// best-effort under concurrent writers (a slot rewritten mid-copy is
+/// skipped) and exact once writers are quiescent, which is the state at
+/// every dump trigger above.
 class FlightRecorder {
  public:
   /// Vector elements captured per record (the TimestampVector inline
@@ -169,13 +172,9 @@ class FlightRecorder {
   /// which only wastes the hint. Not worth issuing on paths that rarely
   /// record (e.g. per batch for the minority that aborts): stores to a
   /// cold slot drain through the store buffer without stalling the core.
-  void PrefetchNext(size_t ring) const {
-    const Ring& r = rings_[ring & ring_mask_];
-    const char* p = reinterpret_cast<const char*>(
-        &r.slots[r.head.load(std::memory_order_relaxed) & mask_]);
-    __builtin_prefetch(p, 1, 0);
-    __builtin_prefetch(p + 64, 1, 0);
-  }
+  /// Two lines, where Record() prefetches three: the third measured
+  /// slower here, on the commit path.
+  void PrefetchNext(size_t ring) const { ring_.PrefetchNext(ring, 2); }
 
   /// Snapshot of every currently retained record, sorted by seq.
   std::vector<FlightRecord> Drain() const;
@@ -193,12 +192,21 @@ class FlightRecorder {
   uint64_t aborts() const;
   AbortReasonCounts abort_reasons() const;
 
-  size_t rings() const { return ring_mask_ + 1; }
-  size_t capacity() const { return mask_ + 1; }
+  /// Records lost to a lapped writer still in their slot (SeqlockRing).
+  uint64_t dropped() const { return ring_.dropped(); }
+
+  /// shard_mask bit for shard `shard`; shards >= 32 are not representable
+  /// and fold to no bit.
+  static uint32_t ShardBit(size_t shard) {
+    return shard < 32 ? (1u << shard) : 0;
+  }
+
+  size_t rings() const { return ring_.rings(); }
+  size_t capacity() const { return ring_.capacity(); }
   const FlightRecorderOptions& options() const { return options_; }
 
  private:
-  // Payload word layout (all relaxed atomics; see Record()):
+  // Payload word layout (see Record()):
   //   w0 seq, w1 time_us,
   //   w2 txn | flags<<32 | reason<<40 | k_rec<<48 | nwrites_rec<<56,
   //   w3 blocker | op_item<<32, w4 shard_mask | writes_total<<32,
@@ -211,20 +219,6 @@ class FlightRecorder {
   static constexpr size_t kPayloadWords =
       kHeaderWords + kPhaseWords + kWriteWords + kMaxVecElements;
 
-  struct Slot {
-    /// 0 = never written; ticket + 1 once the payload below is complete.
-    /// Writers store 0 first (invalidate), payload, then the new stamp
-    /// (release), so a drain that reads the same nonzero stamp on both
-    /// sides of its copy holds a consistent record.
-    std::atomic<uint64_t> stamp{0};
-    std::atomic<uint64_t> w[kPayloadWords] = {};
-  };
-
-  struct alignas(64) Ring {
-    std::atomic<uint64_t> head{0};  ///< Next ticket; slot = ticket & mask.
-    std::unique_ptr<Slot[]> slots;
-  };
-
   void Record(size_t ring, TxnId txn, bool commit, AbortReason reason,
               TxnId blocker, const Op* op, bool sampled, uint32_t shard_mask,
               uint32_t writes_total, std::span<const ItemId> writes,
@@ -232,9 +226,7 @@ class FlightRecorder {
               uint64_t time_us);
 
   FlightRecorderOptions options_;
-  uint64_t mask_;       ///< capacity - 1 (capacity is a power of two).
-  uint64_t ring_mask_;  ///< ring count - 1 (also a power of two).
-  std::unique_ptr<Ring[]> rings_;
+  SeqlockRing<kPayloadWords> ring_;
   std::atomic<uint64_t> seq_{0};
   std::atomic<uint64_t> commits_{0};
   std::atomic<uint64_t> aborts_by_reason_[kNumAbortReasons] = {};

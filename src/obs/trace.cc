@@ -144,15 +144,7 @@ std::string Tracer::ToJson() const {
 }
 
 bool Tracer::WriteFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "trace: cannot write %s\n", path.c_str());
-    return false;
-  }
-  const std::string json = ToJson();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  return ok;
+  return WriteTextFile(path, ToJson());
 }
 
 }  // namespace mdts

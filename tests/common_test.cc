@@ -325,6 +325,24 @@ TEST(BenchJsonTest, UpsertCreatesAndReplacesRecords) {
   std::remove(path.c_str());
 }
 
+TEST(BenchJsonTest, WriteTextFileReportsOpenFailureAndShortWrite) {
+  const std::string path = "write_text_file_test.tmp";
+  ASSERT_TRUE(WriteTextFile(path, "hello\n"));
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  EXPECT_EQ(ss.str(), "hello\n");
+  std::remove(path.c_str());
+
+  EXPECT_FALSE(WriteTextFile("no_such_dir_for_write_test/out.txt", "x"));
+  EXPECT_FALSE(UpsertBenchRecord("no_such_dir_for_write_test/bench.json",
+                                 "alpha", {{"ops", JsonNum(1)}}));
+  // /dev/full accepts the open and fails every write with ENOSPC.
+  if (std::ifstream("/dev/full").good()) {
+    EXPECT_FALSE(WriteTextFile("/dev/full", std::string(1 << 16, 'x')));
+  }
+}
+
 TEST(BenchJsonTest, JsonEscapingAndNumbers) {
   EXPECT_EQ(JsonStr("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
   EXPECT_EQ(JsonNum(2.5), "2.5");

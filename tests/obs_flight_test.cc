@@ -2,7 +2,8 @@
 // asan-obs-flight / tsan-obs-flight presets run exactly this binary under
 // the sanitizers):
 //   - FlightRecorder unit coverage: seqlock ring round trips, overwrite
-//     semantics, capacity rounding, write-set truncation, JSON/dump shape;
+//     semantics, capacity rounding, write-set truncation, JSON/dump shape,
+//     lapped concurrent writers, and dump failures;
 //   - engine integration: commit/reject records reconcile exactly with
 //     EngineStats, commit records carry the committed vector and write set,
 //     and phase_sample_shift = 0 deterministically populates every
@@ -17,12 +18,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/timestamp_vector.h"
@@ -34,6 +38,7 @@
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
+#include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "wal/wal.h"
 
@@ -218,6 +223,76 @@ TEST(FlightRecorderTest, JsonAndDumpShape) {
   const std::string path = FreshDir("dump") + "/flight.json";
   ASSERT_TRUE(flight.DumpToFile(path));
   EXPECT_EQ(ReadFile(path), json);
+}
+
+TEST(FlightRecorderTest, LappedWritersNeverTearARecord) {
+  // Three writers share one ring of four slots while this thread drains,
+  // so writers a full lap apart (tickets t and t + 4) regularly meet in
+  // one slot. Every field is derived from the txn id: a record mixing two
+  // writers' words fails the check below.
+  FlightRecorderOptions fo;
+  fo.rings = 1;
+  fo.capacity = 4;
+  fo.k = 3;
+  FlightRecorder flight(fo);
+  constexpr TxnId kPerWriter = 1u << 20;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> recorded{0};
+  std::vector<std::thread> writers;
+  for (TxnId w = 0; w < 3; ++w) {
+    writers.emplace_back([&, w] {
+      TimestampVector vec(3);
+      uint64_t n = 0;
+      for (TxnId t = w * kPerWriter + 1; !stop.load(std::memory_order_relaxed);
+           ++t, ++n) {
+        vec.Set(0, static_cast<TsElement>(t));
+        vec.Set(1, static_cast<TsElement>(t) + 1);
+        vec.Set(2, static_cast<TsElement>(t) + 2);
+        const ItemId writes[] = {t, t + 1, t + 2};
+        flight.RecordCommit(0, t, vec, /*shard_mask=*/t * 3, writes,
+                            /*phase_us=*/nullptr, /*time_us=*/t * 5);
+      }
+      recorded.fetch_add(n);
+    });
+  }
+  uint64_t torn = 0;
+  uint64_t drained = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+  for (int round = 0;
+       round < 100000 && std::chrono::steady_clock::now() < deadline;
+       ++round) {
+    for (const FlightRecord& r : flight.Drain()) {
+      ++drained;
+      const TxnId t = r.txn;
+      const TsElement e = static_cast<TsElement>(t);
+      const bool ok = r.commit && r.time_us == t * 5 &&
+                      r.shard_mask == t * 3 && r.writes_total == 3 &&
+                      r.writes.size() == 3 && r.writes[0] == t &&
+                      r.writes[1] == t + 1 && r.writes[2] == t + 2 &&
+                      r.k == 3 && r.vec[0] == e && r.vec[1] == e + 1 &&
+                      r.vec[2] == e + 2;
+      if (!ok) ++torn;
+    }
+  }
+  stop.store(true);
+  for (std::thread& w : writers) w.join();
+  EXPECT_EQ(torn, 0u) << "of " << drained << " drained records";
+  // Quiescent: every claimed slot was published, and every record is
+  // either retained, overwritten, or counted as dropped.
+  EXPECT_EQ(flight.Drain().size(), 4u);
+  EXPECT_EQ(flight.commits(), recorded.load());
+  EXPECT_NE(flight.ToJson().find(", \"dropped\": " +
+                                 std::to_string(flight.dropped()) + "}"),
+            std::string::npos);
+}
+
+TEST(FlightRecorderTest, DumpersReportAPathUnderAMissingDirectory) {
+  const std::string path = FreshDir("missing") + "/no_such_dir/out.json";
+  FlightRecorder flight(FlightRecorderOptions{});
+  EXPECT_FALSE(flight.DumpToFile(path));
+  EXPECT_FALSE(MetricsRegistry().Snapshot().WriteJsonFile(path));
+  EXPECT_FALSE(Tracer::Get().WriteFile(path));
 }
 
 // ===========================================================================
